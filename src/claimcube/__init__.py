@@ -62,14 +62,7 @@ from .model import (
     validate_params,
 )
 from .presets import default_config, default_params
-from .streams import (
-    RandomStream,
-    gamma_shape_scale,
-    sample_binomial,
-    sample_gamma_mv,
-    sample_multinomial,
-    sample_poisson,
-)
+from .streams import RandomStream, gamma_shape_scale
 
 __version__ = "0.1.0"
 
@@ -116,10 +109,6 @@ __all__ = [
     "parse_config",
     "reserve_breakdown",
     "run_monte_carlo",
-    "sample_binomial",
-    "sample_gamma_mv",
-    "sample_multinomial",
-    "sample_poisson",
     "simulate_counts",
     "simulate_path",
     "simulate_payments",

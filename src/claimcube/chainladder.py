@@ -29,9 +29,9 @@ from .aggregate import (
     triangle_occurrence,
     triangle_reporting,
 )
+from .engine import _replicate_loop
 from .errors import EstimationError, ParameterError
-from .model import ModelParams, simulate_path, validate_params
-from .streams import RandomStream
+from .model import ModelParams
 
 __all__ = [
     "ChainLadderResult",
@@ -151,6 +151,25 @@ ESTIMATOR_TARGETS = {
 }
 
 
+def _score_replicate(path) -> tuple[dict, dict]:
+    """Simulated reserves and the Chain-Ladder ``(estimate, note)`` of one world."""
+    breakdown = reserve_breakdown(path)
+    truths = {
+        "total_reserve": breakdown.total_reserve,
+        "reported_reserve": breakdown.reported_reserve,
+    }
+    estimates = {}
+    for name, project in (
+        ("chain_ladder_occurrence", triangle_occurrence),
+        ("chain_ladder_reporting", triangle_reporting),
+    ):
+        try:
+            estimates[name] = (chain_ladder(cumulate(project(path))).total_reserve_estimate, "")
+        except EstimationError as exc:
+            estimates[name] = (math.nan, str(exc))
+    return truths, estimates
+
+
 def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Comparison:
     """Score the 2D Chain-Ladder estimators and the analytic 3D mean
     against the simulated truth, replicate by replicate.
@@ -159,30 +178,11 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Com
     affected replicate and excluded from bias/RMSE; they never abort the
     sweep.
     """
-    validate_params(params)
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates!r}")
-    analytic_total = analytic_reserve_moments(params)["total_reserve"].mean
-
-    records: list[ComparisonRecord] = []
-    for r in range(replicates):
-        path = simulate_path(RandomStream(master_seed, r), params)
-        breakdown = reserve_breakdown(path)
-        truths = {
-            "total_reserve": breakdown.total_reserve,
-            "reported_reserve": breakdown.reported_reserve,
-        }
-        estimates = {"analytic_3d_mean": (analytic_total, "")}
-        for name, project in (
-            ("chain_ladder_occurrence", triangle_occurrence),
-            ("chain_ladder_reporting", triangle_reporting),
-        ):
-            try:
-                result = chain_ladder(cumulate(project(path)))
-                estimates[name] = (result.total_reserve_estimate, "")
-            except EstimationError as exc:
-                estimates[name] = (math.nan, str(exc))
-        for name, (estimate, note) in estimates.items():
+    scored = _replicate_loop(params, replicates, master_seed, _score_replicate)
+    analytic = (analytic_reserve_moments(params)["total_reserve"].mean, "")
+    records = []
+    for r, (truths, estimates) in enumerate(scored):
+        for name, (estimate, note) in {"analytic_3d_mean": analytic, **estimates}.items():
             target = ESTIMATOR_TARGETS[name]
             records.append(
                 ComparisonRecord(

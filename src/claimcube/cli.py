@@ -18,38 +18,23 @@ from pathlib import Path
 from .aggregate import analytic_reserve_moments, triangle_occurrence, triangle_reporting
 from .calibrate import calibrated_params
 from .chainladder import compare_2d_3d
-from .config import config_from_params, parse_config, write_config
+from .config import config_from_params, load_config, write_config
 from .engine import build_risk_report, run_monte_carlo
 from .errors import EstimationError, ParameterError
-from .model import simulate_path
-from .presets import default_config
+from .model import simulate_path, validate_params
 from .streams import RandomStream
 
 __all__ = ["main"]
 
 
-def _load(args) -> tuple:
-    """Resolve the configuration with CLI overrides applied before validation."""
-    if args.config == "default":
-        mapping = default_config()
-    else:
-        path = Path(args.config)
-        try:
-            mapping = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ParameterError(f"configuration file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(mapping, dict):
-            raise ParameterError(f"{path}: top level must be a mapping")
-    run = mapping.setdefault("run", {})
-    if getattr(args, "seed", None) is not None:
-        run["master_seed"] = args.seed
-    if getattr(args, "replicates", None) is not None:
-        run["replicates"] = args.replicates
-    if getattr(args, "out", None) is not None:
-        run["output_dir"] = args.out
-    return parse_config(mapping), mapping
+def _run_config(args):
+    """``--config`` loaded with ``--seed``/``--replicates``/``--out`` applied."""
+    overrides = {
+        "master_seed": args.seed,
+        "replicates": getattr(args, "replicates", None),
+        "output_dir": args.out,
+    }
+    return load_config(args.config, overrides)
 
 
 def _fmt(value: float) -> str:
@@ -82,8 +67,8 @@ def _report_payload(report) -> dict:
         "replicates": report.replicate_count,
         "mean": report.mean,
         "std_dev": report.std_dev,
-        "min": None,
-        "max": None,
+        "min": report.minimum,
+        "max": report.maximum,
         "value_at_risk": {repr(level): value for level, value in report.value_at_risk.items()},
         "expected_shortfall": {
             repr(level): value for level, value in report.expected_shortfall.items()
@@ -94,7 +79,7 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    cfg, _ = _load(args)
+    cfg = _run_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -111,10 +96,7 @@ def _cmd_simulate(args) -> int:
     for name in cfg.statistics:
         dist = distributions[name]
         report = build_risk_report(dist, cfg.quantile_levels, moments.get(name))
-        payload = _report_payload(report)
-        payload["min"] = float(dist.samples[0])
-        payload["max"] = float(dist.samples[-1])
-        summary["statistics"][name] = payload
+        summary["statistics"][name] = _report_payload(report)
         _write_distribution_csv(dist, out / f"{name}_distribution.csv")
 
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -128,10 +110,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    cfg, mapping = _load(args)
+    cfg = _run_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    validate_params(cfg.params)
     world = simulate_path(RandomStream(cfg.master_seed, 0), cfg.params, retain_severities=True)
     estimated = calibrated_params(world, fallback=cfg.params)
     exported = config_from_params(
@@ -149,7 +132,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg, _ = _load(args)
+    cfg = _run_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -182,36 +165,56 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _summary_lines(fh) -> list[str]:
+    summary = json.load(fh)
+    lines = [f"run: seed={summary['master_seed']} replicates={summary['replicates']}"]
+    for name, stats in summary["statistics"].items():
+        lines += [
+            "",
+            name,
+            f"  mean      {stats['mean']:,.2f}",
+            f"  std dev   {stats['std_dev']:,.2f}",
+            f"  range     [{stats['min']:,.2f}, {stats['max']:,.2f}]",
+        ]
+        if stats.get("analytic_mean") is not None:
+            lines.append(f"  analytic  mean {stats['analytic_mean']:,.2f}  std {stats['analytic_std']:,.2f}")
+        for level in sorted(stats["value_at_risk"], key=float):
+            var = stats["value_at_risk"][level]
+            es = stats["expected_shortfall"][level]
+            lines.append(f"  level {float(level):.2f}  VaR {var:,.2f}  ES {es:,.2f}")
+    return lines
+
+
+def _comparison_lines(fh) -> list[str]:
+    lines = ["", "2D vs 3D comparison"]
+    for row in csv.DictReader(fh):
+        lines.append(
+            f"  {row['estimator']} (target {row['target']}): "
+            f"bias {float(row['bias']):,.2f}  rmse {float(row['rmse']):,.2f}  "
+            f"ok {row['replicates_ok']}  failed {row['replicates_failed']}"
+        )
+    return lines
+
+
+def _render(path: Path, render) -> list[str]:
+    """Render one output file of a prior run; a malformed file is named."""
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            return render(fh)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: not a claimcube output ({type(exc).__name__}: {exc})") from None
+
+
 def _cmd_report(args) -> int:
     out = Path(args.out)
     summary_path = out / "summary.json"
     if not summary_path.exists():
         raise ParameterError(f"no summary.json in {out}; run `claimcube simulate` first")
-    summary = json.loads(summary_path.read_text())
-
-    print(f"run: seed={summary['master_seed']} replicates={summary['replicates']}")
-    for name, stats in summary["statistics"].items():
-        print(f"\n{name}")
-        print(f"  mean      {stats['mean']:,.2f}")
-        print(f"  std dev   {stats['std_dev']:,.2f}")
-        print(f"  range     [{stats['min']:,.2f}, {stats['max']:,.2f}]")
-        if stats.get("analytic_mean") is not None:
-            print(f"  analytic  mean {stats['analytic_mean']:,.2f}  std {stats['analytic_std']:,.2f}")
-        for level in sorted(stats["value_at_risk"], key=float):
-            var = stats["value_at_risk"][level]
-            es = stats["expected_shortfall"][level]
-            print(f"  level {float(level):.2f}  VaR {var:,.2f}  ES {es:,.2f}")
-
+    lines = _render(summary_path, _summary_lines)
     comparison_path = out / "comparison_summary.csv"
     if comparison_path.exists():
-        print("\n2D vs 3D comparison")
-        with comparison_path.open() as fh:
-            for row in csv.DictReader(fh):
-                print(
-                    f"  {row['estimator']} (target {row['target']}): "
-                    f"bias {float(row['bias']):,.2f}  rmse {float(row['rmse']):,.2f}  "
-                    f"ok {row['replicates_ok']}  failed {row['replicates_failed']}"
-                )
+        lines += _render(comparison_path, _comparison_lines)
+    print("\n".join(lines))
     return 0
 
 
@@ -253,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, EstimationError) as exc:
+    except (ParameterError, EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

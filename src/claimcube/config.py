@@ -17,14 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import DEFAULT_STATISTICS
+from .engine import DEFAULT_STATISTICS, SUPPORTED_STATISTICS
 from .errors import ParameterError
-from .model import ModelParams, make_expected_counts, param_errors, validate_params
+from .model import ModelParams, make_expected_counts, param_errors
 from .presets import default_config
 
 __all__ = ["RunConfig", "config_from_params", "load_config", "parse_config", "write_config"]
-
-_KNOWN_STATISTICS = set(DEFAULT_STATISTICS) | {"known_payments"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +66,9 @@ def _as_array(value, path: str, errs: list[str], ndim: int):
 def parse_config(mapping: dict) -> RunConfig:
     """Build a validated :class:`RunConfig` from a configuration mapping.
 
-    Raises :class:`ParameterError` listing every offending key.
+    Raises :class:`ParameterError` listing every offending key.  The model
+    is checked here through :func:`param_errors`; the survival-plateau
+    warning of :func:`validate_params` is left to the run that uses it.
     """
     errs: list[str] = []
     model = mapping.get("model")
@@ -139,8 +139,8 @@ def parse_config(mapping: dict) -> RunConfig:
         errs.append(f"run.statistics: expected a non-empty list, got {statistics!r}")
     else:
         for name in statistics:
-            if name not in _KNOWN_STATISTICS:
-                errs.append(f"run.statistics: unknown statistic {name!r} (supported: {sorted(_KNOWN_STATISTICS)})")
+            if name not in SUPPORTED_STATISTICS:
+                errs.append(f"run.statistics: unknown statistic {name!r} (supported: {list(SUPPORTED_STATISTICS)})")
 
     levels = run.get("quantile_levels", [0.75, 0.9, 0.95, 0.99])
     if not isinstance(levels, (list, tuple)):
@@ -157,7 +157,6 @@ def parse_config(mapping: dict) -> RunConfig:
     if errs:
         raise ParameterError("invalid configuration:\n  - " + "\n  - ".join(errs))
 
-    validate_params(params)
     return RunConfig(
         params=params,
         replicates=int(replicates),
@@ -168,25 +167,32 @@ def parse_config(mapping: dict) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Load and validate a configuration file.
 
     The literal name ``"default"`` resolves to the built-in representative
-    configuration.
+    configuration.  ``overrides`` maps ``run`` keys to values that replace
+    the file's before validation; ``None`` values are ignored.  Every read,
+    decoding or JSON failure is a :class:`ParameterError` naming the file.
     """
     if str(path) == "default":
-        return parse_config(default_config())
-    file_path = Path(path)
-    try:
-        text = file_path.read_text()
-    except FileNotFoundError:
-        raise ParameterError(f"configuration file not found: {file_path}") from None
-    try:
-        mapping = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{file_path}: not valid JSON ({exc})") from None
-    if not isinstance(mapping, dict):
-        raise ParameterError(f"{file_path}: top level must be a mapping")
+        mapping = default_config()
+    else:
+        file_path = Path(path)
+        try:
+            mapping = json.loads(file_path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ParameterError(f"configuration file not found: {file_path}") from None
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{file_path}: not valid JSON ({exc})") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"{file_path}: cannot read configuration ({exc})") from None
+        if not isinstance(mapping, dict):
+            raise ParameterError(f"{file_path}: top level must be a mapping")
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    run = mapping.setdefault("run", {}) if overrides else None
+    if isinstance(run, dict):  # a malformed section is named by parse_config
+        run.update(overrides)
     return parse_config(mapping)
 
 

@@ -1,9 +1,11 @@
 """Monte Carlo driver, empirical reserve distributions and risk measures.
 
-Replicate ``r`` always consumes stream id ``r`` of the master seed, and each
-replicate's statistics are computed inside its own task and written into a
-slot keyed by the replicate index.  Results are therefore bit-identical for
-any worker count and any scheduling order.
+Every replicate sweep of the package (:func:`run_monte_carlo` and
+:func:`claimcube.chainladder.compare_2d_3d`) runs through one loop,
+:func:`_replicate_loop`: replicate ``r`` always consumes stream id ``r`` of
+the master seed, its result is computed inside its own task, and results are
+collected in replicate order.  They are therefore bit-identical for any
+worker count and any scheduling order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .streams import RandomStream
 
 __all__ = [
     "DEFAULT_STATISTICS",
+    "SUPPORTED_STATISTICS",
     "EmpiricalDistribution",
     "RiskReport",
     "SummaryStats",
@@ -33,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_STATISTICS = ("ibnr_count", "ibnr_reserve", "reported_reserve", "total_reserve")
+#: Every statistic name :func:`run_monte_carlo` and run configurations accept.
+SUPPORTED_STATISTICS = tuple(sorted(DEFAULT_STATISTICS + ("known_payments",)))
 
 #: Snap tolerance when mapping a level to an order-statistic rank; absorbs
 #: float fuzz in products like (1 - 0.95) * n without moving genuine ranks.
@@ -130,6 +135,8 @@ class RiskReport:
     replicate_count: int
     mean: float
     std_dev: float
+    minimum: float
+    maximum: float
     value_at_risk: dict[float, float] = field(default_factory=dict)
     expected_shortfall: dict[float, float] = field(default_factory=dict)
     analytic_mean: float | None = None
@@ -147,6 +154,8 @@ def build_risk_report(
         replicate_count=dist.replicate_count,
         mean=stats.mean,
         std_dev=stats.std_dev,
+        minimum=stats.minimum,
+        maximum=stats.maximum,
         value_at_risk={float(a): value_at_risk(dist, a) for a in levels},
         expected_shortfall={float(a): expected_shortfall(dist, a) for a in levels},
         analytic_mean=None if analytic is None else analytic.mean,
@@ -165,6 +174,29 @@ def _statistic_row(path, names):
     return row
 
 
+def _replicate_loop(
+    params: ModelParams, replicates: int, master_seed: int, per_replicate, *, workers: int = 1
+) -> list:
+    """``[per_replicate(path_r) for r in range(replicates)]`` on validated params.
+
+    ``path_r`` is simulated from substream ``r`` of ``master_seed``; this is
+    the one place where a replicate index becomes a world.  With
+    ``workers > 1`` the replicates run on a thread pool, and the results
+    still come back in replicate order.
+    """
+    validate_params(params)
+    if replicates < 1:
+        raise ParameterError(f"replicates must be >= 1, got {replicates!r}")
+
+    def one(r: int):
+        return per_replicate(simulate_path(RandomStream(master_seed, r), params))
+
+    if workers <= 1:
+        return [one(r) for r in range(replicates)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(replicates)))
+
+
 def run_monte_carlo(
     params: ModelParams,
     replicates: int,
@@ -175,32 +207,17 @@ def run_monte_carlo(
 ) -> dict[str, EmpiricalDistribution]:
     """Run independent replicates and collect per-replicate reserve statistics.
 
-    Supported statistic names: ``ibnr_count``, ``ibnr_reserve``,
-    ``reported_reserve``, ``total_reserve`` and ``known_payments``.
+    Supported statistic names are those in :data:`SUPPORTED_STATISTICS`.
     """
-    validate_params(params)
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates!r}")
     names = tuple(statistics)
-    known = set(DEFAULT_STATISTICS) | {"known_payments"}
-    bad = [n for n in names if n not in known]
+    bad = [n for n in names if n not in SUPPORTED_STATISTICS]
     if bad:
-        raise ParameterError(f"unknown statistics {bad}; supported: {sorted(known)}")
+        raise ParameterError(f"unknown statistics {bad}; supported: {list(SUPPORTED_STATISTICS)}")
 
-    values = np.empty((replicates, len(names)))
-
-    def one(r: int):
-        path = simulate_path(RandomStream(master_seed, r), params)
-        return _statistic_row(path, names)
-
-    if workers <= 1:
-        for r in range(replicates):
-            values[r] = one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, row in enumerate(pool.map(one, range(replicates))):
-                values[r] = row
-
+    rows = _replicate_loop(
+        params, replicates, master_seed, lambda path: _statistic_row(path, names), workers=workers
+    )
+    values = np.array(rows, dtype=float)
     return {
         name: EmpiricalDistribution(values[:, c], statistic_name=name)
         for c, name in enumerate(names)

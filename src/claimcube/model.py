@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .streams import PROB_TOL, RandomStream
+from .streams import PROB_TOL, RandomStream, gamma_shape_scale
 
 __all__ = [
     "ClaimTensor",
@@ -287,8 +287,7 @@ def simulate_payments(
     draws = np.empty(0)
     starts = np.zeros(nu_sto.shape[0], dtype=np.int64)
     if nu_sto.size and nu_sto.sum() > 0:
-        shape = ew[stochastic] ** 2 / var[stochastic]
-        scale = var[stochastic] / ew[stochastic]
+        shape, scale = gamma_shape_scale(ew[stochastic], var[stochastic])
         draws = gen.gamma(np.repeat(shape, nu_sto), np.repeat(scale, nu_sto))
         starts = np.concatenate(([0], np.cumsum(nu_sto)[:-1])).astype(np.int64)
         totals = np.zeros(nu_sto.shape[0])

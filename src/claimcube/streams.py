@@ -1,4 +1,4 @@
-"""Reproducible random streams and the four samplers the claim simulator needs.
+"""Reproducible random streams and the Gamma severity parameterization.
 
 Every Monte Carlo replicate owns one :class:`RandomStream`, addressed by
 ``(master_seed, stream_id)``.  Identical pairs replay the identical draw
@@ -7,28 +7,21 @@ substreams.  Derivation goes through :class:`numpy.random.SeedSequence`,
 which mixes the pair with a fixed hash, so replicate ``r`` is reproducible
 regardless of execution order or worker placement.
 
-Severities are parameterized by (mean, variance); the Gamma shape/scale
-conversion is internal.  A zero variance degenerates to a point mass at the
-mean.
+The simulator draws straight from :attr:`RandomStream.generator`.
+Severities are parameterized by (mean, variance); :func:`gamma_shape_scale`
+converts them to the Gamma shape and scale.  A zero variance is a point mass
+at the mean, which the simulator handles without a draw.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
 
-__all__ = [
-    "RandomStream",
-    "gamma_shape_scale",
-    "sample_binomial",
-    "sample_gamma_mv",
-    "sample_multinomial",
-    "sample_poisson",
-]
+__all__ = ["RandomStream", "gamma_shape_scale"]
 
 #: Tolerance on probability-vector normalization.
 PROB_TOL = 1e-9
@@ -63,67 +56,11 @@ class RandomStream:
         return self._gen
 
 
-def sample_poisson(stream: RandomStream, mean: float) -> int:
-    """Draw one Poisson variate with the given mean.
-
-    ``mean = 0`` returns 0 deterministically.
-    """
-    if not math.isfinite(mean) or mean < 0:
-        raise ParameterError(f"poisson mean must be finite and >= 0, got {mean!r}")
-    return int(stream.generator.poisson(mean))
-
-
-def sample_binomial(stream: RandomStream, n: int, p: float) -> int:
-    """Draw one Binomial(n, p) variate; always within [0, n]."""
-    if n < 0:
-        raise ParameterError(f"binomial n must be >= 0, got {n!r}")
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"binomial p must lie in [0, 1], got {p!r}")
-    return int(stream.generator.binomial(n, p))
-
-
-def sample_multinomial(stream: RandomStream, n: int, probs) -> np.ndarray:
-    """Split ``n`` into categories according to ``probs``.
-
-    The components of the result are non-negative and sum to exactly ``n``.
-    ``probs`` must be non-negative and sum to 1 within ``PROB_TOL``.
-    """
-    if n < 0:
-        raise ParameterError(f"multinomial n must be >= 0, got {n!r}")
-    pvals = np.asarray(probs, dtype=float)
-    if pvals.ndim != 1 or pvals.size == 0:
-        raise ParameterError("multinomial probs must be a non-empty 1-D vector")
-    if np.any(pvals < 0) or not np.all(np.isfinite(pvals)):
-        raise ParameterError("multinomial probs must be finite and >= 0")
-    total = pvals.sum()
-    if abs(total - 1.0) > PROB_TOL:
-        raise ParameterError(f"multinomial probs sum {total!r} differs from 1 by more than {PROB_TOL}")
-    return stream.generator.multinomial(int(n), pvals / total)
-
-
-def gamma_shape_scale(mean: float, variance: float) -> tuple[float, float]:
+def gamma_shape_scale(mean, variance):
     """Map a (mean, variance) severity parameterization to Gamma (shape, scale).
 
-    shape = mean^2 / variance, scale = variance / mean.  Only valid for
-    variance > 0; callers handle the degenerate point mass themselves.
+    shape = mean^2 / variance, scale = variance / mean, for floats or
+    elementwise on arrays.  Only valid for variance > 0; callers handle the
+    degenerate point mass themselves.
     """
     return mean * mean / variance, variance / mean
-
-
-def sample_gamma_mv(stream: RandomStream, mean: float, variance: float, size: int | None = None):
-    """Draw Gamma variates with the requested mean and variance.
-
-    ``variance = 0`` returns the mean deterministically (point-mass limit).
-    With ``size=None`` a single float is returned, otherwise an array.
-    """
-    if not math.isfinite(mean) or mean <= 0:
-        raise ParameterError(f"gamma mean must be finite and > 0, got {mean!r}")
-    if not math.isfinite(variance) or variance < 0:
-        raise ParameterError(f"gamma variance must be finite and >= 0, got {variance!r}")
-    if variance == 0.0:
-        if size is None:
-            return float(mean)
-        return np.full(size, float(mean))
-    shape, scale = gamma_shape_scale(mean, variance)
-    draws = stream.generator.gamma(shape, scale, size=size)
-    return float(draws) if size is None else draws

@@ -79,6 +79,9 @@ def test_unknown_statistic_named():
     mapping["run"]["statistics"] = ["total_reserve", "bogus"]
     with pytest.raises(ParameterError, match="bogus"):
         parse_config(mapping)
+    mapping["run"]["statistics"] = [["total_reserve"]]
+    with pytest.raises(ParameterError, match="run.statistics"):
+        parse_config(mapping)
 
 
 def test_config_round_trip_is_lossless(tmp_path, make_params):
@@ -228,3 +231,53 @@ def test_invalid_config_exits_nonzero(tmp_path):
     r = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "x"))
     assert r.returncode == 1
     assert "lag_probs" in r.stderr
+
+
+def plateau_config(tmp_path):
+    path = small_config(tmp_path, replicates=3)
+    mapping = json.loads(path.read_text())
+    mapping["model"]["survival"] = [1.0, 0.6, 0.6, 0.2]
+    write_config(mapping, path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "calibrate"])
+def test_survival_plateau_warns_once_per_command(tmp_path, command):
+    r = run_cli(command, "--config", str(plateau_config(tmp_path)), "--out", str(tmp_path / "o"))
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.count("survival curve plateaus") == 1
+
+
+def io_failure_case(tmp_path, case):
+    """CLI arguments that hit one I/O failure, and the file the diagnostic must name."""
+    cfg = small_config(tmp_path)
+    if case == "config_is_a_directory":
+        return ["simulate", "--config", str(tmp_path)], tmp_path
+    if case == "config_not_utf8":
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"model": "\xe9"}')
+        return ["simulate", "--config", str(bad)], bad
+    if case == "out_under_a_file":
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return ["simulate", "--config", str(cfg), "--out", str(blocker / "out")], blocker
+    out = tmp_path / "prior"
+    out.mkdir()
+    summary = out / "summary.json"
+    summary.write_text("{not json" if case == "summary_not_json" else '{"master_seed": 1}')
+    return ["report", "--out", str(out)], summary
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["config_is_a_directory", "config_not_utf8", "out_under_a_file", "summary_not_json", "summary_missing_keys"],
+)
+def test_io_failure_exits_1_with_a_one_line_diagnostic(tmp_path, case):
+    args, culprit = io_failure_case(tmp_path, case)
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    (line,) = r.stderr.strip().splitlines()
+    assert line.startswith("error: ")
+    assert str(culprit) in line
+    assert r.stdout == ""

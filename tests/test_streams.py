@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from claimcube import (
-    ParameterError,
-    RandomStream,
-    gamma_shape_scale,
-    sample_binomial,
-    sample_gamma_mv,
-    sample_multinomial,
-    sample_poisson,
-)
+from claimcube import ParameterError, RandomStream, gamma_shape_scale
+
+
+def draw_sequence(stream):
+    gen = stream.generator
+    return [
+        int(gen.poisson(5.0)),
+        int(gen.binomial(20, 0.3)),
+        float(gen.gamma(*gamma_shape_scale(4.0, 16.0))),
+        gen.multinomial(100, [0.5, 0.5]).tolist(),
+    ]
 
 
 def test_identical_streams_replay_identical_sequences():
-    a = RandomStream(123, 7)
-    b = RandomStream(123, 7)
-    seq_a = [sample_poisson(a, 5.0), sample_binomial(a, 20, 0.3), float(sample_gamma_mv(a, 4.0, 16.0))]
-    seq_b = [sample_poisson(b, 5.0), sample_binomial(b, 20, 0.3), float(sample_gamma_mv(b, 4.0, 16.0))]
-    assert seq_a == seq_b
-    assert np.array_equal(sample_multinomial(a, 100, [0.5, 0.5]), sample_multinomial(b, 100, [0.5, 0.5]))
+    assert draw_sequence(RandomStream(123, 7)) == draw_sequence(RandomStream(123, 7))
 
 
 def test_distinct_stream_ids_differ():
@@ -35,19 +32,6 @@ def test_stream_rejects_out_of_range_ids():
         RandomStream(0, 2**64)
 
 
-def test_poisson_zero_mean_is_deterministic():
-    stream = RandomStream(1)
-    assert sample_poisson(stream, 0.0) == 0
-
-
-def test_poisson_rejects_bad_mean():
-    stream = RandomStream(1)
-    with pytest.raises(ParameterError):
-        sample_poisson(stream, -1.0)
-    with pytest.raises(ParameterError):
-        sample_poisson(stream, math.inf)
-
-
 def test_poisson_moments_match_law_of_large_numbers():
     # oracle: sample mean of n draws lies within 3*sqrt(mean/n) of the mean,
     # sample variance within 5*sqrt(2*mean^2/n) (Poisson variance = mean)
@@ -58,103 +42,17 @@ def test_poisson_moments_match_law_of_large_numbers():
     assert abs(draws.var(ddof=1) - mean) < 5 * math.sqrt(2 * mean**2 / n)
 
 
-def test_binomial_degenerate_cases():
-    stream = RandomStream(3)
-    assert sample_binomial(stream, 0, 0.5) == 0
-    assert sample_binomial(stream, 10, 1.0) == 10
-    assert sample_binomial(stream, 10, 0.0) == 0
-
-
-def test_binomial_rejects_bad_probability():
-    stream = RandomStream(3)
-    with pytest.raises(ParameterError):
-        sample_binomial(stream, 10, 1.5)
-    with pytest.raises(ParameterError):
-        sample_binomial(stream, -1, 0.5)
-
-
-def test_binomial_mean_matches_moment_oracle():
-    stream = RandomStream(4)
-    n_draws, n, p = 10_000, 1000, 0.3
-    draws = np.array([sample_binomial(stream, n, p) for _ in range(n_draws)])
-    assert abs(draws.mean() - n * p) < 3 * math.sqrt(n * p * (1 - p) / n_draws)
-
-
-def test_binomial_draws_stay_within_bounds():
-    stream = RandomStream(5)
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        n = int(rng.integers(0, 50))
-        p = float(rng.random())
-        x = sample_binomial(stream, n, p)
-        assert 0 <= x <= n
-
-
-def test_multinomial_point_mass():
-    stream = RandomStream(6)
-    assert np.array_equal(sample_multinomial(stream, 100, [1.0, 0.0, 0.0]), [100, 0, 0])
-
-
-def test_multinomial_components_always_sum_to_n():
-    stream = RandomStream(7)
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        n = int(rng.integers(0, 500))
-        probs = rng.random(int(rng.integers(1, 6)))
-        probs /= probs.sum()
-        draw = sample_multinomial(stream, n, probs)
-        assert draw.sum() == n
-        assert np.all(draw >= 0)
-
-
-def test_multinomial_fraction_matches_moment_oracle():
-    stream = RandomStream(8)
-    n = 100_000
-    draw = sample_multinomial(stream, n, [0.4, 0.3, 0.3])
-    assert abs(draw[0] / n - 0.4) < 3 * math.sqrt(0.4 * 0.6 / n)
-
-
-def test_multinomial_rejects_unnormalized_probs():
-    stream = RandomStream(9)
-    with pytest.raises(ParameterError):
-        sample_multinomial(stream, 10, [0.5, 0.6])
-    with pytest.raises(ParameterError):
-        sample_multinomial(stream, 10, [-0.1, 1.1])
-
-
-def test_gamma_zero_variance_is_point_mass():
-    stream = RandomStream(10)
-    assert sample_gamma_mv(stream, 4.0, 0.0) == 4.0
-    assert np.array_equal(sample_gamma_mv(stream, 4.0, 0.0, size=5), np.full(5, 4.0))
-
-
 def test_gamma_shape_scale_algebra():
     assert gamma_shape_scale(10.0, 40.0) == (2.5, 4.0)
-
-
-def test_gamma_rejects_bad_parameters():
-    stream = RandomStream(11)
-    with pytest.raises(ParameterError):
-        sample_gamma_mv(stream, 0.0, 1.0)
-    with pytest.raises(ParameterError):
-        sample_gamma_mv(stream, 4.0, -1.0)
-
-
-def test_gamma_mean_matches_moment_oracle():
-    stream = RandomStream(12)
-    n, mean, var = 100_000, 4.0, 16.0
-    draws = sample_gamma_mv(stream, mean, var, size=n)
-    assert abs(draws.mean() - mean) < 3 * math.sqrt(var / n)
 
 
 @pytest.mark.parametrize("mean,var", [(1.0, 1.0), (4.0, 16.0), (100.0, 400.0)])
 def test_gamma_mean_variance_round_trip(mean, var):
     # 4 CLT standard errors at one million draws; the variance band uses the
     # Gamma fourth moment, mu4 = var^2 * (3 + 6/shape)
-    stream = RandomStream(13)
+    shape, scale = gamma_shape_scale(mean, var)
     n = 1_000_000
-    draws = sample_gamma_mv(stream, mean, var, size=n)
-    shape = mean * mean / var
+    draws = RandomStream(13).generator.gamma(shape, scale, size=n)
     assert abs(draws.mean() - mean) < 4 * math.sqrt(var / n)
     se_var = var * math.sqrt((2 + 6 / shape) / n)
     assert abs(draws.var(ddof=1) - var) < 4 * se_var
