@@ -34,18 +34,16 @@ from .chainladder import (
     chain_ladder,
     compare_2d_3d,
     cumulate,
-    decumulate,
 )
 from .config import RunConfig, config_from_params, load_config, parse_config, write_config
 from .engine import (
     DEFAULT_STATISTICS,
     EmpiricalDistribution,
     RiskReport,
-    SummaryStats,
     build_risk_report,
     expected_shortfall,
+    replicate_path,
     run_monte_carlo,
-    summary_stats,
     value_at_risk,
 )
 from .errors import EstimationError, ParameterError
@@ -84,7 +82,6 @@ __all__ = [
     "RiskReport",
     "RunConfig",
     "SimulationPath",
-    "SummaryStats",
     "Triangle",
     "analytic_reserve_moments",
     "build_risk_report",
@@ -93,7 +90,6 @@ __all__ = [
     "compare_2d_3d",
     "config_from_params",
     "cumulate",
-    "decumulate",
     "default_config",
     "default_params",
     "estimate_lag_probs",
@@ -107,12 +103,12 @@ __all__ = [
     "mean_claim_size",
     "param_errors",
     "parse_config",
+    "replicate_path",
     "reserve_breakdown",
     "run_monte_carlo",
     "simulate_counts",
     "simulate_path",
     "simulate_payments",
-    "summary_stats",
     "total_known_payments",
     "triangle_occurrence",
     "triangle_reporting",

@@ -41,7 +41,6 @@ __all__ = [
     "chain_ladder",
     "compare_2d_3d",
     "cumulate",
-    "decumulate",
 ]
 
 
@@ -52,16 +51,6 @@ def cumulate(tri: Triangle) -> Triangle:
     vals = tri.values
     cum = np.where(np.isnan(vals), np.nan, np.nancumsum(vals, axis=1))
     return Triangle(cum, tri.orientation, "cumulative", tri.horizon, tri.known_total)
-
-
-def decumulate(tri: Triangle) -> Triangle:
-    """Inverse of :func:`cumulate` on the known region."""
-    if tri.form != "cumulative":
-        raise ParameterError(f"decumulate expects a cumulative triangle, got {tri.form!r}")
-    vals = tri.values
-    inc = vals.copy()
-    inc[:, 1:] = vals[:, 1:] - vals[:, :-1]
-    return Triangle(inc, tri.orientation, "incremental", tri.horizon, tri.known_total)
 
 
 @dataclass(eq=False)
@@ -182,32 +171,20 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Com
     analytic = (analytic_reserve_moments(params)["total_reserve"].mean, "")
     records = []
     for r, (truths, estimates) in enumerate(scored):
-        for name, (estimate, note) in {"analytic_3d_mean": analytic, **estimates}.items():
-            target = ESTIMATOR_TARGETS[name]
-            records.append(
-                ComparisonRecord(
-                    replicate=r,
-                    estimator=name,
-                    target=target,
-                    estimate=estimate,
-                    truth=truths[target],
-                    note=note,
-                )
-            )
+        estimates["analytic_3d_mean"] = analytic
+        for name, target in ESTIMATOR_TARGETS.items():
+            estimate, note = estimates[name]
+            records.append(ComparisonRecord(r, name, target, estimate, truths[target], note))
 
     summary: dict[str, EstimatorSummary] = {}
     for name, target in ESTIMATOR_TARGETS.items():
-        errors = np.array(
-            [rec.error for rec in records if rec.estimator == name and not math.isnan(rec.estimate)]
-        )
-        failed = sum(
-            1 for rec in records if rec.estimator == name and math.isnan(rec.estimate)
-        )
+        own = [rec for rec in records if rec.estimator == name]
+        errors = np.array([rec.error for rec in own if not math.isnan(rec.estimate)])
         summary[name] = EstimatorSummary(
             estimator=name,
             target=target,
             replicates_ok=int(errors.size),
-            replicates_failed=failed,
+            replicates_failed=len(own) - int(errors.size),
             bias=float(errors.mean()) if errors.size else math.nan,
             rmse=float(np.sqrt(np.mean(errors**2))) if errors.size else math.nan,
         )

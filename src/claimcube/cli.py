@@ -19,10 +19,9 @@ from .aggregate import analytic_reserve_moments, triangle_occurrence, triangle_r
 from .calibrate import calibrated_params
 from .chainladder import compare_2d_3d
 from .config import config_from_params, load_config, write_config
-from .engine import build_risk_report, run_monte_carlo
+from .engine import build_risk_report, replicate_path, run_monte_carlo
 from .errors import EstimationError, ParameterError
-from .model import simulate_path, validate_params
-from .streams import RandomStream
+from .model import validate_params
 
 __all__ = ["main"]
 
@@ -41,25 +40,21 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_distribution_csv(dist, path: Path) -> None:
+def _cell(value: float) -> str:
+    """A CSV cell: the value at full precision, or empty when it is NaN (unknown)."""
+    return "" if math.isnan(value) else _fmt(value)
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank", "value"])
-        for rank, value in enumerate(dist.samples, start=1):
-            writer.writerow([rank, _fmt(value)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_triangle_csv(tri, path: Path) -> None:
-    n_rows, n_cols = tri.values.shape
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row"] + [f"dev{n}" for n in range(n_cols)])
-        for r in range(n_rows):
-            cells = [
-                "" if math.isnan(tri.values[r, n]) else _fmt(tri.values[r, n])
-                for n in range(n_cols)
-            ]
-            writer.writerow([r + 1] + cells)
+    header = ["row"] + [f"dev{n}" for n in range(tri.values.shape[1])]
+    _write_csv(path, header, ([m + 1] + [_cell(v) for v in row] for m, row in enumerate(tri.values)))
 
 
 def _report_payload(report) -> dict:
@@ -97,11 +92,15 @@ def _cmd_simulate(args) -> int:
         dist = distributions[name]
         report = build_risk_report(dist, cfg.quantile_levels, moments.get(name))
         summary["statistics"][name] = _report_payload(report)
-        _write_distribution_csv(dist, out / f"{name}_distribution.csv")
+        _write_csv(
+            out / f"{name}_distribution.csv",
+            ["rank", "value"],
+            ([rank, _fmt(value)] for rank, value in enumerate(dist.samples, start=1)),
+        )
 
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_config(summary, out / "summary.json")
 
-    first_path = simulate_path(RandomStream(cfg.master_seed, 0), cfg.params)
+    first_path = replicate_path(cfg.params, cfg.master_seed, 0)
     _write_triangle_csv(triangle_occurrence(first_path), out / "triangle_occurrence.csv")
     _write_triangle_csv(triangle_reporting(first_path), out / "triangle_reporting.csv")
 
@@ -115,7 +114,7 @@ def _cmd_calibrate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     validate_params(cfg.params)
-    world = simulate_path(RandomStream(cfg.master_seed, 0), cfg.params, retain_severities=True)
+    world = replicate_path(cfg.params, cfg.master_seed, 0, retain_severities=True)
     estimated = calibrated_params(world, fallback=cfg.params)
     exported = config_from_params(
         estimated,
@@ -137,30 +136,23 @@ def _cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     comparison = compare_2d_3d(cfg.params, cfg.replicates, cfg.master_seed)
-    with (out / "comparison.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "estimator", "target", "estimate", "truth", "error", "note"])
-        for rec in comparison.records:
-            failed = math.isnan(rec.estimate)
-            writer.writerow(
-                [
-                    rec.replicate,
-                    rec.estimator,
-                    rec.target,
-                    "" if failed else _fmt(rec.estimate),
-                    _fmt(rec.truth),
-                    "" if failed else _fmt(rec.error),
-                    rec.note,
-                ]
-            )
-    with (out / "comparison_summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "target", "replicates_ok", "replicates_failed", "bias", "rmse"])
-        for name in sorted(comparison.summary):
-            s = comparison.summary[name]
-            writer.writerow(
-                [s.estimator, s.target, s.replicates_ok, s.replicates_failed, _fmt(s.bias), _fmt(s.rmse)]
-            )
+    _write_csv(
+        out / "comparison.csv",
+        ["replicate", "estimator", "target", "estimate", "truth", "error", "note"],
+        (
+            [rec.replicate, rec.estimator, rec.target, _cell(rec.estimate)]
+            + [_fmt(rec.truth), _cell(rec.error), rec.note]
+            for rec in comparison.records
+        ),
+    )
+    _write_csv(
+        out / "comparison_summary.csv",
+        ["estimator", "target", "replicates_ok", "replicates_failed", "bias", "rmse"],
+        (
+            [s.estimator, s.target, s.replicates_ok, s.replicates_failed, _fmt(s.bias), _fmt(s.rmse)]
+            for _, s in sorted(comparison.summary.items())
+        ),
+    )
     print(f"wrote comparison.csv and comparison_summary.csv to {out}")
     return 0
 

@@ -17,12 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import DEFAULT_STATISTICS, SUPPORTED_STATISTICS
+from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS, SUPPORTED_STATISTICS
 from .errors import ParameterError
 from .model import ModelParams, make_expected_counts, param_errors
 from .presets import default_config
 
 __all__ = ["RunConfig", "config_from_params", "load_config", "parse_config", "write_config"]
+
+#: ``run.output_dir`` of a configuration that names none.
+DEFAULT_OUTPUT_DIR = "runs/output"
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +95,16 @@ def parse_config(mapping: dict) -> RunConfig:
         elif "base" in counts_spec and "growth" in counts_spec:
             base = _as_number(counts_spec["base"], "model.expected_counts.base", errs)
             growth = _as_number(counts_spec["growth"], "model.expected_counts.growth", errs)
-            if None not in (base, growth, years):
+            too_large = f"model.occurrence_years: {years} is too large for an array of expected counts"
+            if years is not None and years > np.iinfo(np.intp).max // 8:
+                errs.append(too_large)  # np.arange may wrap such a length to an empty array
+            elif None not in (base, growth, years):
                 try:
                     expected_counts = make_expected_counts(base, growth, years)
                 except ParameterError as exc:
                     errs.append(f"model.expected_counts: {exc}")
+                except (ValueError, MemoryError):  # numpy cannot size or allocate the array
+                    errs.append(too_large)
         else:
             errs.append("model.expected_counts: need either 'values' or 'base' and 'growth'")
     elif counts_spec is not None:
@@ -142,7 +150,7 @@ def parse_config(mapping: dict) -> RunConfig:
             if name not in SUPPORTED_STATISTICS:
                 errs.append(f"run.statistics: unknown statistic {name!r} (supported: {list(SUPPORTED_STATISTICS)})")
 
-    levels = run.get("quantile_levels", [0.75, 0.9, 0.95, 0.99])
+    levels = run.get("quantile_levels", list(DEFAULT_QUANTILE_LEVELS))
     if not isinstance(levels, (list, tuple)):
         errs.append(f"run.quantile_levels: expected a list, got {levels!r}")
     else:
@@ -150,7 +158,7 @@ def parse_config(mapping: dict) -> RunConfig:
             if isinstance(lvl, bool) or not isinstance(lvl, (int, float)) or not (0.0 < lvl < 1.0):
                 errs.append(f"run.quantile_levels: level {lvl!r} must lie strictly inside (0, 1)")
 
-    output_dir = run.get("output_dir", "runs/output")
+    output_dir = run.get("output_dir", DEFAULT_OUTPUT_DIR)
     if not isinstance(output_dir, str) or not output_dir:
         errs.append(f"run.output_dir: expected a non-empty string, got {output_dir!r}")
 
@@ -202,8 +210,8 @@ def config_from_params(
     replicates: int,
     master_seed: int,
     statistics=DEFAULT_STATISTICS,
-    quantile_levels=(0.75, 0.9, 0.95, 0.99),
-    output_dir: str = "runs/output",
+    quantile_levels=DEFAULT_QUANTILE_LEVELS,
+    output_dir: str = DEFAULT_OUTPUT_DIR,
 ) -> dict:
     """Serialize a parameter set (explicit per-year counts) plus run settings."""
     return {
@@ -229,5 +237,6 @@ def config_from_params(
 
 
 def write_config(mapping: dict, path) -> None:
-    """Write a configuration mapping as deterministic, full-precision JSON."""
+    """Write any JSON mapping (a configuration, a run summary) as
+    deterministic, full-precision JSON."""
     Path(path).write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n")

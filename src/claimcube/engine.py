@@ -1,11 +1,12 @@
 """Monte Carlo driver, empirical reserve distributions and risk measures.
 
-Every replicate sweep of the package (:func:`run_monte_carlo` and
+Replicate ``r`` of a run is the world :func:`replicate_path` simulates from
+stream id ``r`` of the master seed; nothing else in the package maps a
+replicate to a stream.  Every replicate sweep (:func:`run_monte_carlo` and
 :func:`claimcube.chainladder.compare_2d_3d`) runs through one loop,
-:func:`_replicate_loop`: replicate ``r`` always consumes stream id ``r`` of
-the master seed, its result is computed inside its own task, and results are
-collected in replicate order.  They are therefore bit-identical for any
-worker count and any scheduling order.
+:func:`_replicate_loop`: each replicate's result is computed inside its own
+task, and results are collected in replicate order.  They are therefore
+bit-identical for any worker count and any scheduling order.
 """
 
 from __future__ import annotations
@@ -19,23 +20,25 @@ import numpy as np
 
 from .aggregate import MomentPair, reserve_breakdown, total_known_payments
 from .errors import ParameterError
-from .model import ModelParams, simulate_path, validate_params
+from .model import ModelParams, SimulationPath, simulate_path, validate_params
 from .streams import RandomStream
 
 __all__ = [
+    "DEFAULT_QUANTILE_LEVELS",
     "DEFAULT_STATISTICS",
     "SUPPORTED_STATISTICS",
     "EmpiricalDistribution",
     "RiskReport",
-    "SummaryStats",
     "build_risk_report",
     "expected_shortfall",
+    "replicate_path",
     "run_monte_carlo",
-    "summary_stats",
     "value_at_risk",
 ]
 
 DEFAULT_STATISTICS = ("ibnr_count", "ibnr_reserve", "reported_reserve", "total_reserve")
+#: VaR/ES levels of a run configuration that names none.
+DEFAULT_QUANTILE_LEVELS = (0.75, 0.9, 0.95, 0.99)
 #: Every statistic name :func:`run_monte_carlo` and run configurations accept.
 SUPPORTED_STATISTICS = tuple(sorted(DEFAULT_STATISTICS + ("known_payments",)))
 
@@ -60,12 +63,6 @@ class EmpiricalDistribution:
     @property
     def replicate_count(self) -> int:
         return int(self.samples.size)
-
-    def value_at_risk(self, level: float) -> float:
-        return value_at_risk(self, level)
-
-    def expected_shortfall(self, level: float) -> float:
-        return expected_shortfall(self, level)
 
 
 def _check_level(level: float) -> None:
@@ -96,38 +93,6 @@ def expected_shortfall(dist: EmpiricalDistribution, level: float) -> float:
 
 
 @dataclass(frozen=True)
-class SummaryStats:
-    mean: float
-    std_dev: float
-    minimum: float
-    maximum: float
-
-
-def summary_stats(dist: EmpiricalDistribution) -> SummaryStats:
-    """Sample mean and standard deviation (R-1 denominator), min and max.
-
-    A single-replicate distribution reports a standard deviation of 0 with a
-    warning rather than failing.
-    """
-    n = dist.replicate_count
-    if n == 0:
-        raise ValueError("summary_stats of an empty distribution")
-    if n == 1:
-        warnings.warn(
-            "standard deviation of a single replicate reported as 0", UserWarning, stacklevel=2
-        )
-        std = 0.0
-    else:
-        std = float(dist.samples.std(ddof=1))
-    return SummaryStats(
-        mean=float(dist.samples.mean()),
-        std_dev=std,
-        minimum=float(dist.samples[0]),
-        maximum=float(dist.samples[-1]),
-    )
-
-
-@dataclass(frozen=True)
 class RiskReport:
     """Distribution summary plus tail risk measures for one statistic."""
 
@@ -148,14 +113,25 @@ def build_risk_report(
     levels,
     analytic: MomentPair | None = None,
 ) -> RiskReport:
-    stats = summary_stats(dist)
+    """Mean, standard deviation (R-1 denominator), range, VaR and ES per level.
+
+    A single-replicate distribution reports a standard deviation of 0 with a
+    warning rather than failing.
+    """
+    n = dist.replicate_count
+    if n == 0:
+        raise ValueError("risk report of an empty distribution")
+    if n == 1:
+        warnings.warn(
+            "standard deviation of a single replicate reported as 0", UserWarning, stacklevel=2
+        )
     return RiskReport(
         statistic_name=dist.statistic_name,
-        replicate_count=dist.replicate_count,
-        mean=stats.mean,
-        std_dev=stats.std_dev,
-        minimum=stats.minimum,
-        maximum=stats.maximum,
+        replicate_count=n,
+        mean=float(dist.samples.mean()),
+        std_dev=float(dist.samples.std(ddof=1)) if n > 1 else 0.0,
+        minimum=float(dist.samples[0]),
+        maximum=float(dist.samples[-1]),
         value_at_risk={float(a): value_at_risk(dist, a) for a in levels},
         expected_shortfall={float(a): expected_shortfall(dist, a) for a in levels},
         analytic_mean=None if analytic is None else analytic.mean,
@@ -174,22 +150,33 @@ def _statistic_row(path, names):
     return row
 
 
+def replicate_path(
+    params: ModelParams, master_seed: int, replicate: int, *, retain_severities: bool = False
+) -> SimulationPath:
+    """The world of replicate ``replicate``: substream ``replicate`` of ``master_seed``.
+
+    Assumes ``params`` passed :func:`validate_params`.
+    """
+    return simulate_path(
+        RandomStream(master_seed, replicate), params, retain_severities=retain_severities
+    )
+
+
 def _replicate_loop(
     params: ModelParams, replicates: int, master_seed: int, per_replicate, *, workers: int = 1
 ) -> list:
     """``[per_replicate(path_r) for r in range(replicates)]`` on validated params.
 
-    ``path_r`` is simulated from substream ``r`` of ``master_seed``; this is
-    the one place where a replicate index becomes a world.  With
-    ``workers > 1`` the replicates run on a thread pool, and the results
-    still come back in replicate order.
+    ``path_r`` is :func:`replicate_path` of ``r``.  With ``workers > 1`` the
+    replicates run on a thread pool, and the results still come back in
+    replicate order.
     """
     validate_params(params)
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates!r}")
 
     def one(r: int):
-        return per_replicate(simulate_path(RandomStream(master_seed, r), params))
+        return per_replicate(replicate_path(params, master_seed, r))
 
     if workers <= 1:
         return [one(r) for r in range(replicates)]

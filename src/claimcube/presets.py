@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS
 from .model import ModelParams, make_expected_counts, validate_params
 
 __all__ = ["default_config", "default_params"]
@@ -77,13 +78,8 @@ def default_config() -> dict:
         "run": {
             "replicates": 1000,
             "master_seed": 1234,
-            "statistics": [
-                "ibnr_count",
-                "ibnr_reserve",
-                "reported_reserve",
-                "total_reserve",
-            ],
-            "quantile_levels": [0.75, 0.9, 0.95, 0.99],
+            "statistics": list(DEFAULT_STATISTICS),
+            "quantile_levels": list(DEFAULT_QUANTILE_LEVELS),
             "output_dir": "runs/default",
         },
     }

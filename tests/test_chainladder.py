@@ -11,7 +11,6 @@ from claimcube import (
     chain_ladder,
     compare_2d_3d,
     cumulate,
-    decumulate,
     validate_params,
 )
 
@@ -29,7 +28,7 @@ def cumulative(values, horizon=None):
 nan = math.nan
 
 
-# --- cumulate / decumulate -----------------------------------------------------
+# --- cumulate --------------------------------------------------------------------
 
 
 def test_cumulate_zero_triangle():
@@ -45,16 +44,18 @@ def test_cumulate_prefix_sums():
     assert tri.values[1, 1] == 5.0
 
 
-def test_cumulate_then_decumulate_is_identity():
+def test_cumulate_matches_row_prefix_sums():
     rng = np.random.default_rng(31)
     for _ in range(20):
         n = int(rng.integers(2, 7))
         vals = rng.uniform(0, 100, (n, n))
         r, c = np.indices(vals.shape)
         vals[r + c > n - 1] = nan
-        tri = incremental(vals)
-        back = decumulate(cumulate(tri))
-        assert np.allclose(back.values, vals, equal_nan=True, rtol=1e-12)
+        cum = cumulate(incremental(vals)).values
+        for m in range(n):
+            for k in range(n):
+                expected = math.fsum(vals[m, : k + 1]) if m + k <= n - 1 else nan
+                assert cum[m, k] == pytest.approx(expected, rel=1e-12, nan_ok=True)
 
 
 def test_form_mismatch_rejected():

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -8,10 +9,14 @@ import pytest
 
 from claimcube import (
     ParameterError,
+    calibrated_params,
     config_from_params,
     default_config,
     load_config,
     parse_config,
+    replicate_path,
+    triangle_occurrence,
+    triangle_reporting,
     write_config,
 )
 
@@ -81,6 +86,14 @@ def test_unknown_statistic_named():
         parse_config(mapping)
     mapping["run"]["statistics"] = [["total_reserve"]]
     with pytest.raises(ParameterError, match="run.statistics"):
+        parse_config(mapping)
+
+
+@pytest.mark.parametrize("years", [2**63, 2**64, 2**70])
+def test_huge_occurrence_years_named(years):
+    mapping = default_config()
+    mapping["model"]["occurrence_years"] = years
+    with pytest.raises(ParameterError, match=r"model\.occurrence_years"):
         parse_config(mapping)
 
 
@@ -185,6 +198,39 @@ def test_calibrate_output_revalidates(tmp_path):
     estimated = load_config(out / "estimated_config.json")
     assert estimated.params.occurrence_years == 4
     assert estimated.params.lag_probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def read_triangle_csv(path):
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(v) if v else np.nan for v in row[1:]] for row in rows])
+
+
+def test_cli_replicate_0_worlds_come_from_the_engine_mapping(tmp_path):
+    path = small_config(tmp_path, replicates=3, seed=19)
+    cfg = load_config(path)
+    out = tmp_path / "r0"
+    for command in ("simulate", "calibrate"):
+        r = run_cli(command, "--config", str(path), "--out", str(out))
+        assert r.returncode == 0, r.stderr
+
+    world = replicate_path(cfg.params, cfg.master_seed, 0)
+    for name, project in (
+        ("triangle_occurrence.csv", triangle_occurrence),
+        ("triangle_reporting.csv", triangle_reporting),
+    ):
+        np.testing.assert_array_equal(read_triangle_csv(out / name), project(world).values)
+
+    retained = replicate_path(cfg.params, cfg.master_seed, 0, retain_severities=True)
+    expected = config_from_params(
+        calibrated_params(retained, fallback=cfg.params),
+        replicates=cfg.replicates,
+        master_seed=cfg.master_seed,
+        statistics=cfg.statistics,
+        quantile_levels=cfg.quantile_levels,
+        output_dir=str(out),
+    )
+    assert json.loads((out / "estimated_config.json").read_text()) == expected
 
 
 def test_compare_writes_one_row_per_estimator_per_replicate(tmp_path):

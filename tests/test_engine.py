@@ -10,7 +10,6 @@ from claimcube import (
     build_risk_report,
     expected_shortfall,
     run_monte_carlo,
-    summary_stats,
     value_at_risk,
 )
 
@@ -75,27 +74,27 @@ def test_empty_distribution_is_a_state_error():
     with pytest.raises(ValueError):
         value_at_risk(empty, 0.5)
     with pytest.raises(ValueError):
-        summary_stats(empty)
+        build_risk_report(empty, ())
 
 
 # --- summary statistics ---------------------------------------------------------
 
 
 def test_summary_of_constant_samples():
-    stats = summary_stats(dist([2.0, 2.0, 2.0]))
+    stats = build_risk_report(dist([2.0, 2.0, 2.0]), ())
     assert stats.mean == 2.0
     assert stats.std_dev == 0.0
 
 
 def test_summary_uses_unbiased_std():
-    stats = summary_stats(dist([1.0, 3.0]))
+    stats = build_risk_report(dist([1.0, 3.0]), ())
     assert stats.mean == 2.0
     assert stats.std_dev == pytest.approx(math.sqrt(2.0))
 
 
 def test_single_sample_std_is_zero_with_warning():
     with pytest.warns(UserWarning, match="single replicate"):
-        stats = summary_stats(dist([5.0]))
+        stats = build_risk_report(dist([5.0]), ())
     assert stats.mean == 5.0
     assert stats.std_dev == 0.0
 
