@@ -23,7 +23,10 @@ expectation ``expected_counts[i] * lag_probs[j] * survival[k]`` hold exactly.
 Each active claim pays in run-off year k with probability ``pay_prob[k]``
 (depending on k only), and payment amounts are Gamma with mean
 ``severity_mean[j, k]`` and variance ``severity_var[j, k]`` (no dependence
-on the occurrence year).
+on the occurrence year).  A cell's payment total is drawn as one Gamma
+variate (the sum of iid Gammas is Gamma), so a world costs time and memory
+in proportion to its cells, not its payments.  Individual amounts exist
+only on request, split from the cell totals by a conditional Dirichlet.
 """
 
 from __future__ import annotations
@@ -261,66 +264,85 @@ def simulate_payments(
     counts: ClaimTensor,
     retain_severities: bool = False,
 ):
-    """Draw payment counts and amounts on top of a count tensor.
+    """Draw payment counts and cell amounts on top of a count tensor.
 
-    Per cell, the payment count is Binomial(active count, pay_prob[k]) and
-    the cell amount is the sum of that many independent Gamma severities.
-    All severities of a path are drawn in a single vectorized call with
-    cells ordered ascending (i, j, k), so the draw sequence is identical
-    whether or not individual payments are retained.  Cells with zero
-    severity variance pay exactly the mean per payment.
+    Per cell, the payment count ``nu`` is Binomial(active count, pay_prob[k])
+    and the cell amount is the sum of ``nu`` iid Gamma(shape, scale)
+    severities.  That sum is drawn directly as one Gamma(nu * shape, scale)
+    variate, which is exact by Gamma additivity; all cell totals of a path
+    come from a single call with cells ordered ascending (i, j, k), so the
+    cost grows with the number of cells, not of payments.  Cells with zero
+    severity variance pay exactly ``nu`` times the mean, without a draw.
+
+    With ``retain_severities`` the individual amounts are drawn afterwards
+    from :attr:`RandomStream.severity_generator`, conditional on the cell
+    totals (see :func:`_split_totals`), so the draws of the plain path and
+    hence every cell total are the same whether or not they are retained.
 
     Returns ``(pay_counts, PaymentTensor, severities)`` where ``severities``
     is None unless ``retain_severities`` is set.
     """
     gen = stream.generator
-    active = counts.counts
-    pay_counts = gen.binomial(active, params.pay_prob[None, None, :])
+    pay_counts = gen.binomial(counts.counts, params.pay_prob[None, None, :])
 
     ew = np.broadcast_to(params.severity_mean[None, :, :], pay_counts.shape)
     var = np.broadcast_to(params.severity_var[None, :, :], pay_counts.shape)
     stochastic = var > 0.0
 
     payments = np.where(stochastic, 0.0, pay_counts * ew)
-
-    nu_sto = pay_counts[stochastic]
-    draws = np.empty(0)
-    starts = np.zeros(nu_sto.shape[0], dtype=np.int64)
-    if nu_sto.size and nu_sto.sum() > 0:
-        shape, scale = gamma_shape_scale(ew[stochastic], var[stochastic])
-        draws = gen.gamma(np.repeat(shape, nu_sto), np.repeat(scale, nu_sto))
-        starts = np.concatenate(([0], np.cumsum(nu_sto)[:-1])).astype(np.int64)
-        totals = np.zeros(nu_sto.shape[0])
-        filled = nu_sto > 0
-        totals[filled] = np.add.reduceat(draws, starts[filled])
-        payments[stochastic] = totals
+    drawn = stochastic & (pay_counts > 0)
+    shape, scale = gamma_shape_scale(ew[drawn], var[drawn])
+    payments[drawn] = gen.gamma(pay_counts[drawn] * shape, scale)
 
     severities = None
     if retain_severities:
-        severities = _collect_severities(pay_counts, stochastic, ew, draws, starts)
+        severities = _split_totals(stream.severity_generator, params, pay_counts, payments)
     return pay_counts, PaymentTensor(payments=payments), severities
 
 
-def _collect_severities(pay_counts, stochastic, ew, draws, starts):
-    """Pool individual payments per (lag, run-off) cell, occurrence-ascending."""
-    start_grid = np.zeros(pay_counts.shape, dtype=np.int64)
-    start_grid[stochastic] = starts
-    n_i, n_j, n_k = pay_counts.shape
+def _split_totals(gen, params, pay_counts, payments):
+    """Individual payments per (lag, run-off) pool, occurrence-ascending.
+
+    A stochastic cell with total S and ``nu`` payments is split as
+    S * Dirichlet(shape, ..., shape): ``nu`` standard Gamma(shape) draws
+    normalised by their sum.  By Lukacs' theorem the proportions of iid
+    Gammas are independent of their sum, so this is the exact joint law of
+    the individual amounts given S.  Each non-empty stochastic pool takes one
+    ``standard_gamma`` call, in ascending (j, k) order.  Should a cell's draws
+    all underflow to 0 (a tiny shape), S goes to one of its payments chosen
+    uniformly, the shape -> 0 limit of the Dirichlet.  Zero-variance pools pay
+    the mean per payment.
+    """
+    nu = pay_counts.transpose(1, 2, 0)  # pool (j, k), then occurrence year i
+    sizes = nu.sum(axis=2)
+    stochastic = params.severity_var > 0.0
+    shape = np.zeros(sizes.shape)
+    shape[stochastic], _ = gamma_shape_scale(
+        params.severity_mean[stochastic], params.severity_var[stochastic]
+    )
+    amounts = np.repeat(params.severity_mean.ravel(), sizes.ravel())
+    pool_ends = np.cumsum(sizes.ravel())
     severities: dict[tuple[int, int], np.ndarray] = {}
-    for j in range(n_j):
-        for k in range(n_k):
-            chunks = []
-            for i in range(n_i):
-                nu = int(pay_counts[i, j, k])
-                if nu == 0:
-                    continue
-                if stochastic[i, j, k]:
-                    s = int(start_grid[i, j, k])
-                    chunks.append(draws[s : s + nu])
-                else:
-                    chunks.append(np.full(nu, ew[i, j, k]))
-            if chunks:
-                severities[(j, k)] = np.concatenate(chunks)
+    for p in np.flatnonzero(sizes):
+        j, k = divmod(int(p), sizes.shape[1])
+        pool = amounts[pool_ends[p] - sizes[j, k] : pool_ends[p]]
+        if stochastic[j, k]:
+            gen.standard_gamma(shape[j, k], out=pool)
+        severities[(j, k)] = pool
+
+    lengths = nu.ravel()
+    filled = lengths > 0
+    lengths = lengths[filled]
+    starts = np.cumsum(lengths) - lengths
+    sums = np.add.reduceat(amounts, starts)
+    split = np.broadcast_to(stochastic[:, :, None], nu.shape).ravel()[filled]
+    totals = payments.transpose(1, 2, 0).ravel()[filled]
+    # Normalise before scaling: g / sum <= 1, so no quotient overflows.
+    normal = split & (sums > 0)
+    amounts /= np.repeat(np.where(normal, sums, 1.0), lengths)
+    amounts *= np.repeat(np.where(split, totals, 1.0), lengths)
+    lumped = split & (sums == 0) & (totals > 0)
+    amounts[starts[lumped] + gen.integers(lengths[lumped])] = totals[lumped]
     return severities
 
 

@@ -7,7 +7,11 @@ substreams.  Derivation goes through :class:`numpy.random.SeedSequence`,
 which mixes the pair with a fixed hash, so replicate ``r`` is reproducible
 regardless of execution order or worker placement.
 
-The simulator draws straight from :attr:`RandomStream.generator`.
+The simulator draws straight from :attr:`RandomStream.generator`.  Retained
+individual payment amounts come from :attr:`RandomStream.severity_generator`,
+a second generator derived from the same pair (``spawn_key=(0,)``) and built
+only when it is first used, so retaining them never changes the draws of
+:attr:`RandomStream.generator`.
 Severities are parameterized by (mean, variance); :func:`gamma_shape_scale`
 converts them to the Gamma shape and scale.  A zero variance is a point mass
 at the mean, which the simulator handles without a draw.
@@ -41,6 +45,7 @@ class RandomStream:
     master_seed: int
     stream_id: int = 0
     _gen: np.random.Generator = field(init=False, repr=False)
+    _severity_gen: np.random.Generator | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
@@ -54,6 +59,18 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         """The underlying numpy generator (PCG64)."""
         return self._gen
+
+    @property
+    def severity_generator(self) -> np.random.Generator:
+        """A second generator of the same pair, for retained individual amounts.
+
+        Derived with ``spawn_key=(0,)``, so its draws are independent of
+        :attr:`generator` and never advance it.
+        """
+        if self._severity_gen is None:
+            seq = np.random.SeedSequence([int(self.master_seed), int(self.stream_id)], spawn_key=(0,))
+            self._severity_gen = np.random.default_rng(seq)
+        return self._severity_gen
 
 
 def gamma_shape_scale(mean, variance):

@@ -292,6 +292,8 @@ def test_survival_plateau_warns_once_per_command(tmp_path, command):
     r = run_cli(command, "--config", str(plateau_config(tmp_path)), "--out", str(tmp_path / "o"))
     assert r.returncode == 0, r.stderr
     assert r.stderr.count("survival curve plateaus") == 1
+    assert r.stderr == "warning: survival curve plateaus at k=2; claims there never close\n"
+    assert ".py" not in r.stderr
 
 
 def io_failure_case(tmp_path, case):

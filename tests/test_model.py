@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from claimcube import (
     ModelParams,
     ParameterError,
     RandomStream,
+    default_params,
     make_expected_counts,
     param_errors,
     simulate_counts,
@@ -210,6 +213,31 @@ def test_compound_mean_matches_oracle(make_params):
     assert abs(z.mean() - 500.0) < 3 * se
 
 
+def test_compound_variance_matches_oracle(make_params):
+    # same cell: Var(Z) = E[nu] Var(W) + Var(nu) EW^2 = 50*40 + 25*100 = 4500
+    params = make_params(
+        occurrence_years=1,
+        max_lag=1,
+        max_runoff=0,
+        lag_probs=(1.0,),
+        survival=(1.0,),
+        pay_prob=0.5,
+        severity_mean=10.0,
+        severity_var=40.0,
+    )
+    counts = ClaimTensor(counts=np.full((1, 1, 1), 100, dtype=np.int64))
+    reps = 10_000
+    z = np.empty(reps)
+    for r in range(reps):
+        _, payments, _ = simulate_payments(RandomStream(78, r), params, counts)
+        z[r] = payments.payments[0, 0, 0]
+    s = z.std(ddof=1)
+    # delta-method SE of the sample std, as in criterion 03
+    m4 = np.mean((z - z.mean()) ** 4)
+    se = math.sqrt(max(m4 - s**4, 0.0)) / (2 * s * math.sqrt(reps))
+    assert abs(s - math.sqrt(4500.0)) < 4 * se
+
+
 def test_payment_counts_bounded_and_zero_payment_cells_pay_nothing(make_params):
     params = make_params(occurrence_years=4, expected_counts=80.0, pay_prob=0.4)
     for rep in range(30):
@@ -265,3 +293,50 @@ def test_default_portfolio_path_invariants():
     assert np.all((nu >= 0) & (nu <= counts))
     assert np.all(z >= 0)
     assert np.all(z[nu == 0] == 0.0)
+
+
+def test_retained_severities_replay_per_stream(make_params):
+    params = make_params(occurrence_years=3, expected_counts=40.0)
+    a = simulate_path(RandomStream(14, 2), params, retain_severities=True).severities
+    b = simulate_path(RandomStream(14, 2), params, retain_severities=True).severities
+    c = simulate_path(RandomStream(14, 3), params, retain_severities=True).severities
+    assert a.keys() == b.keys()
+    assert all(np.array_equal(a[cell], b[cell]) for cell in a)
+    assert any(cell not in c or not np.array_equal(a[cell], c[cell]) for cell in a)
+
+
+def test_retention_leaves_the_plain_stream_where_a_plain_path_does(make_params):
+    params = make_params(occurrence_years=3, expected_counts=40.0)
+    plain, retained = RandomStream(16, 0), RandomStream(16, 0)
+    simulate_path(plain, params)
+    simulate_path(retained, params, retain_severities=True)
+    assert plain.generator.bit_generator.state == retained.generator.bit_generator.state
+
+
+def test_tiny_shape_retained_amounts_stay_finite_and_reconcile(make_params):
+    # shape = 10^2 / 1e8 = 1e-6: standard Gamma draws underflow to 0, so whole
+    # cells split a total whose individual draws are all zero
+    params = make_params(occurrence_years=4, expected_counts=80.0, pay_prob=0.8, severity_var=1e8)
+    positive_totals = 0
+    for r in range(40):
+        path = simulate_path(RandomStream(15, r), params, retain_severities=True)
+        nu, z = path.claims.pay_counts, path.payments.payments
+        positive_totals += int(np.count_nonzero(z))
+        for (j, k), amounts in path.severities.items():
+            assert np.all(np.isfinite(amounts)) and np.all(amounts >= 0)
+            assert amounts.size == nu[:, j, k].sum()
+            for i, segment in enumerate(np.split(amounts, np.cumsum(nu[:, j, k])[:-1])):
+                assert math.fsum(segment) == pytest.approx(z[i, j, k], rel=1e-12, abs=0.0)
+    assert positive_totals > 0
+
+
+def test_million_claims_per_year_world_runs_in_bounded_memory():
+    params = validate_params(dataclasses.replace(default_params(), expected_counts=1e6))
+    tracemalloc.start()
+    try:
+        path = simulate_path(RandomStream(2024, 0), params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.claims.pay_counts.sum() > 10**7
+    assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
