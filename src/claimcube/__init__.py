@@ -1,11 +1,11 @@
 """Monte Carlo claim reserving on a three-axis claim model.
 
 Claims are tracked by occurrence year, reporting lag and run-off year.  The
-package simulates whole claim worlds (Poisson ultimates, multinomial lag
-split, binomial survival, compound Gamma payments), projects them to
-classical 2-D run-off triangles, evaluates reserve distributions with risk
-measures, provides closed-form reserve moments, a Chain-Ladder baseline and
-moment-based calibration.
+package simulates whole claim worlds (Poisson counts per occurrence year
+and lag, a multinomial last-active-year split, compound Gamma payments),
+projects them to classical 2-D run-off triangles, evaluates reserve
+distributions with risk measures, provides closed-form reserve moments, a
+Chain-Ladder baseline and moment-based calibration.
 """
 
 from .aggregate import (

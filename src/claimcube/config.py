@@ -12,6 +12,7 @@ precision).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS, SUPPORTED_STATISTICS
 from .errors import ParameterError
-from .model import ModelParams, make_expected_counts, param_errors
+from .model import MAX_WORLD_CELLS, ModelParams, make_expected_counts, param_errors
 from .presets import default_config
 
 __all__ = ["RunConfig", "config_from_params", "load_config", "parse_config", "write_config"]
@@ -87,6 +88,11 @@ def parse_config(mapping: dict) -> RunConfig:
     max_lag = _as_number(_require(model, "max_lag", "model", errs), "model.max_lag", errs, integer=True)
     max_runoff = _as_number(_require(model, "max_runoff", "model", errs), "model.max_runoff", errs, integer=True)
 
+    # Bound the world before any array is built (base/growth builds one of length I).
+    cells = math.prod(max(n or 1, 1) for n in (years, max_lag, (max_runoff or 0) + 1))
+    if too_large := cells > MAX_WORLD_CELLS:
+        errs.append(f"model.occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}")
+
     counts_spec = _require(model, "expected_counts", "model", errs)
     expected_counts = None
     if isinstance(counts_spec, dict):
@@ -95,16 +101,11 @@ def parse_config(mapping: dict) -> RunConfig:
         elif "base" in counts_spec and "growth" in counts_spec:
             base = _as_number(counts_spec["base"], "model.expected_counts.base", errs)
             growth = _as_number(counts_spec["growth"], "model.expected_counts.growth", errs)
-            too_large = f"model.occurrence_years: {years} is too large for an array of expected counts"
-            if years is not None and years > np.iinfo(np.intp).max // 8:
-                errs.append(too_large)  # np.arange may wrap such a length to an empty array
-            elif None not in (base, growth, years):
+            if None not in (base, growth, years) and not too_large:
                 try:
                     expected_counts = make_expected_counts(base, growth, years)
                 except ParameterError as exc:
                     errs.append(f"model.expected_counts: {exc}")
-                except (ValueError, MemoryError):  # numpy cannot size or allocate the array
-                    errs.append(too_large)
         else:
             errs.append("model.expected_counts: need either 'values' or 'base' and 'growth'")
     elif counts_spec is not None:

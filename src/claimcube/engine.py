@@ -12,6 +12,7 @@ bit-identical for any worker count and any scheduling order.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -168,19 +169,22 @@ def _replicate_loop(
     """``[per_replicate(path_r) for r in range(replicates)]`` on validated params.
 
     ``path_r`` is :func:`replicate_path` of ``r``.  With ``workers > 1`` the
-    replicates run on a thread pool, and the results still come back in
-    replicate order.
+    replicates run on a thread pool of at most ``workers``, ``replicates``
+    and CPU-count threads, and the results still come back in replicate order.
     """
     validate_params(params)
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates!r}")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers!r}")
+    threads = min(workers, replicates, os.cpu_count() or 1)
 
     def one(r: int):
         return per_replicate(replicate_path(params, master_seed, r))
 
-    if workers <= 1:
+    if threads == 1:
         return [one(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(replicates)))
 
 

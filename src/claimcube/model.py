@@ -11,14 +11,14 @@ At the valuation date only cells with ``i + j + k <= I`` are observable; the
 plane ``i + j + k = I`` separates the known past from the future that the
 reserves must cover.
 
-Generative chain per occurrence year: the ultimate claim count is Poisson
-with mean ``expected_counts[i]``; it is split across reporting lags by a
-multinomial over ``lag_probs``; active counts then thin along the run-off
-axis by binomial survival.  ``survival[k]`` is the *cumulative* fraction of
-reported claims still active k years after reporting (``survival[0] = 1``),
-so the per-year binomial success probability is the conditional ratio
-``survival[k] / survival[k-1]`` (0/0 treated as 0).  This makes the cell
-expectation ``expected_counts[i] * lag_probs[j] * survival[k]`` hold exactly.
+Generative chain per (occurrence year, lag) column: the reported claim count
+is Poisson with mean ``expected_counts[i] * lag_probs[j]``, independently
+across columns.  ``survival[k]`` is the *cumulative* fraction of reported
+claims still active k years after reporting (``survival[0] = 1``), so a
+claim's last active run-off year L has ``P(L >= k) = survival[k]``.  One
+multinomial splits each column over L, and the count in run-off year k is the
+number of claims with ``L >= k``, with expectation exactly
+``expected_counts[i] * lag_probs[j] * survival[k]``.
 
 Each active claim pays in run-off year k with probability ``pay_prob[k]``
 (depending on k only), and payment amounts are Gamma with mean
@@ -51,6 +51,11 @@ __all__ = [
     "simulate_payments",
     "validate_params",
 ]
+
+#: Most cells I * J * (K+1) a configured world may have: its three 8-byte
+#: tensors (counts, payment counts, payments) then take 0.75 GiB, and its
+#: draw peaks at about 40 bytes per cell, near 1.25 GiB.
+MAX_WORLD_CELLS = 2**25
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -99,15 +104,6 @@ class ModelParams:
     def dims(self) -> tuple[int, int, int]:
         """Tensor shape ``(I, J, K+1)``."""
         return self.occurrence_years, self.max_lag, self.max_runoff + 1
-
-    def survival_ratios(self) -> np.ndarray:
-        """Conditional year-on-year survival probabilities (index 0 is 1)."""
-        eta = self.survival
-        ratios = np.ones_like(eta)
-        prev = eta[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios[1:] = np.where(prev > 0, eta[1:] / np.where(prev > 0, prev, 1.0), 0.0)
-        return ratios
 
 
 def make_expected_counts(base: float, growth: float, years: int) -> np.ndarray:
@@ -241,20 +237,17 @@ class SimulationPath:
 
 
 def simulate_counts(stream: RandomStream, params: ModelParams) -> ClaimTensor:
-    """Draw the active-claim count tensor for one world.
+    """Draw the active-claim count tensor for one world in two generator calls.
 
-    Assumes ``params`` passed :func:`validate_params`.  Counts are monotone
-    non-increasing along the run-off axis by construction.
+    Poisson (i, j) columns, then one multinomial over the last active run-off
+    year with probabilities ``survival[k] - survival[k+1]`` (``survival[K+1] =
+    0``); ``counts[..., k]`` counts the claims whose last active year is >= k.
+    Assumes ``params`` passed :func:`validate_params`.
     """
     gen = stream.generator
-    n_i, n_j, n_k = params.dims
-    counts = np.zeros((n_i, n_j, n_k), dtype=np.int64)
-    ultimates = gen.poisson(params.expected_counts)
-    pvals = params.lag_probs / params.lag_probs.sum()
-    counts[:, :, 0] = gen.multinomial(ultimates, pvals)
-    ratios = params.survival_ratios()
-    for k in range(1, n_k):
-        counts[:, :, k] = gen.binomial(counts[:, :, k - 1], ratios[k])
+    reported = gen.poisson(params.expected_counts[:, None] * params.lag_probs[None, :])
+    last_active = gen.multinomial(reported, -np.diff(params.survival, append=0.0))
+    counts = np.cumsum(last_active[:, :, ::-1], axis=2)[:, :, ::-1]
     return ClaimTensor(counts=counts)
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from claimcube import (
     triangle_reporting,
     write_config,
 )
+from claimcube.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,12 +91,18 @@ def test_unknown_statistic_named():
         parse_config(mapping)
 
 
-@pytest.mark.parametrize("years", [2**63, 2**64, 2**70])
+@pytest.mark.parametrize("years", [2**63, 2**64, 2**70, 10**10])
 def test_huge_occurrence_years_named(years):
     mapping = default_config()
     mapping["model"]["occurrence_years"] = years
-    with pytest.raises(ParameterError, match=r"model\.occurrence_years"):
-        parse_config(mapping)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=r"model\.occurrence_years"):
+            parse_config(mapping)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
 def test_config_round_trip_is_lossless(tmp_path, make_params):
@@ -277,6 +285,14 @@ def test_invalid_config_exits_nonzero(tmp_path):
     r = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "x"))
     assert r.returncode == 1
     assert "lag_probs" in r.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_simulate_rejects_workers_below_one(tmp_path, capsys, workers):
+    args = ["simulate", "--config", str(small_config(tmp_path)), "--workers", workers]
+    assert main(args) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: ") and "workers" in line
 
 
 def plateau_config(tmp_path):

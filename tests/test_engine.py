@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import claimcube.engine
 from claimcube import (
     EmpiricalDistribution,
     ParameterError,
@@ -120,6 +121,38 @@ def test_scheduling_invariance(make_params):
     threaded = run_monte_carlo(params, 40, master_seed=6, workers=4)
     for name in serial:
         assert np.array_equal(serial[name].samples, threaded[name].samples)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(make_params, workers):
+    with pytest.raises(ParameterError, match="workers"):
+        run_monte_carlo(make_params(), 2, 1, workers=workers)
+
+
+def test_thread_pool_is_bounded_by_replicates_and_cpus(make_params, monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # runs the replicates in this thread; starts none
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(claimcube.engine, "ThreadPoolExecutor", RecordingPool)
+    params = make_params()
+    serial = run_monte_carlo(params, 3, master_seed=9)
+    for cpus in (8, 2, 1, None):
+        monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda cpus=cpus: cpus)
+        pooled = run_monte_carlo(params, 3, master_seed=9, workers=10**6)
+        assert all(np.array_equal(serial[n].samples, pooled[n].samples) for n in serial)
+    assert sizes == [3, 2]  # one or an unknown number of CPUs runs serially
 
 
 def test_unknown_statistic_rejected(make_params):

@@ -172,6 +172,28 @@ def test_reported_totals_follow_poisson_mean(make_params):
         assert abs(totals[:, i].mean() - nbar) < 4 * se
 
 
+def test_count_variance_and_runoff_covariance_match_poisson_thinning(make_params):
+    # N_ijk is Poisson(lam_ij * s_k) and a thinning of N_ij0, so
+    # Var(N_ijk) = Cov(N_ij0, N_ijk) = lam_ij * s_k; independent cells would
+    # give the same variance but no covariance
+    params = make_params(
+        occurrence_years=2,
+        max_lag=2,
+        max_runoff=3,
+        expected_counts=(30.0, 50.0),
+        lag_probs=(0.4, 0.6),
+        survival=(1.0, 0.7, 0.4, 0.15),
+    )
+    reps = 2000
+    counts = np.stack([simulate_counts(RandomStream(41, r), params).counts for r in range(reps)])
+    lam = np.outer(params.expected_counts, params.lag_probs)[:, :, None] * params.survival
+    centred = counts - counts.mean(axis=0)
+    for products in (centred * centred, centred[..., :1] * centred):
+        estimate = products.sum(axis=0) / (reps - 1)
+        se = products.std(axis=0, ddof=1) / math.sqrt(reps)
+        assert np.all(np.abs(estimate - lam) < 4 * se)
+
+
 # --- payment simulation -----------------------------------------------------
 
 

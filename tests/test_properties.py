@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcube import ModelParams, RandomStream, simulate_path, validate_params
+from claimcube import ModelParams, RandomStream, simulate_counts, simulate_path, validate_params
 
 unit = st.floats(0.0, 1.0)
 
@@ -62,3 +62,15 @@ def test_retained_amounts_split_the_plain_cell_totals(params, seed):
             assert np.all(np.isfinite(amounts)) and np.all(amounts >= 0)
             for i, segment in enumerate(np.split(amounts, np.cumsum(nu[:, j, k])[:-1])):
                 assert math.fsum(segment) == pytest.approx(z[i, j, k], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:survival curve plateaus")
+@settings(max_examples=60, deadline=None)
+@given(params=small_params(), seed=st.integers(0, 2**32 - 1))
+def test_counts_follow_the_shape_of_the_survival_curve(params, seed):
+    counts = simulate_counts(RandomStream(seed, 0), params).counts
+    eta = params.survival
+    assert np.all(np.diff(counts, axis=2) <= 0)
+    assert np.all(counts[:, :, eta == 0] == 0)
+    plateau = np.flatnonzero(np.diff(eta) == 0) + 1
+    assert np.array_equal(counts[:, :, plateau], counts[:, :, plateau - 1])
