@@ -9,10 +9,12 @@ valuation horizon ``I``:
 
 The two 2-D run-off triangles partition exactly the known payments, once by
 (occurrence year, j+k) and once by (reporting year i+j, k); nothing is double
-counted.  Triangle grand totals are accumulated with exactly rounded
-summation (:func:`math.fsum`), so both projections of the same world report
-the bit-identical total; cell values use a fixed ascending (i, j, k)
-accumulation order for reproducibility.
+counted.  Reserves and triangle grand totals are accumulated with exactly
+rounded summation (:func:`math.fsum`), so both projections of the same world
+report the bit-identical total.  The exact sums skip the zero cells, which
+are +0.0 and cannot change an exactly rounded sum; most cells of a world are
+zero.  Cell values use a fixed ascending (i, j, k) accumulation order for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -38,9 +40,15 @@ __all__ = [
 ]
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """Exactly rounded sum of ``values``; the +0.0 cells are skipped, as they add nothing."""
+    return math.fsum(values[values != 0].tolist())
+
+
 @lru_cache(maxsize=64)
 def _classification(n_i: int, n_j: int, n_k: int):
-    """Masks for the three cell classes at horizon I = n_i (cached per shape)."""
+    """Masks for the three cell classes at horizon I = n_i, and the (i, j, k)
+    indices of the known cells in ascending order (cached per shape)."""
     i = np.arange(1, n_i + 1)[:, None, None]
     j = np.arange(n_j)[None, :, None]
     k = np.arange(n_k)[None, None, :]
@@ -49,9 +57,10 @@ def _classification(n_i: int, n_j: int, n_k: int):
     ibnr_cols = (np.arange(1, n_i + 1)[:, None] + np.arange(n_j)[None, :]) > n_i
     ibnr = np.ascontiguousarray(np.broadcast_to(ibnr_cols[:, :, None], known.shape))
     reported_future = (~ibnr) & (age > n_i)
-    for arr in (known, ibnr_cols, ibnr, reported_future):
+    known_idx = np.nonzero(known)
+    for arr in (known, ibnr_cols, ibnr, reported_future, *known_idx):
         arr.flags.writeable = False
-    return known, ibnr_cols, ibnr, reported_future
+    return known, ibnr_cols, ibnr, reported_future, known_idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +107,13 @@ def _project(payments: np.ndarray, rows: np.ndarray, cols: np.ndarray, known: np
     r = np.arange(horizon)[:, None]
     n = np.arange(horizon)[None, :]
     values[r + n > horizon - 1] = np.nan
-    total = math.fsum(weights)
-    return values, total
+    return values, _exact_sum(weights)
 
 
 def triangle_occurrence(path: SimulationPath) -> Triangle:
     """Incremental triangle of known payments: occurrence year vs j+k."""
     n_i, n_j, n_k = path.params.dims
-    known, *_ = _classification(n_i, n_j, n_k)
-    ii, jj, kk = np.nonzero(known)
+    known, *_, (ii, jj, kk) = _classification(n_i, n_j, n_k)
     values, total = _project(path.payments.payments, ii, jj + kk, known, n_i)
     return Triangle(values, "occurrence", "incremental", n_i, total)
 
@@ -114,8 +121,7 @@ def triangle_occurrence(path: SimulationPath) -> Triangle:
 def triangle_reporting(path: SimulationPath) -> Triangle:
     """Incremental triangle of known payments: reporting year (i+j) vs k."""
     n_i, n_j, n_k = path.params.dims
-    known, *_ = _classification(n_i, n_j, n_k)
-    ii, jj, kk = np.nonzero(known)
+    known, *_, (ii, jj, kk) = _classification(n_i, n_j, n_k)
     values, total = _project(path.payments.payments, ii + jj, kk, known, n_i)
     return Triangle(values, "reporting", "incremental", n_i, total)
 
@@ -124,17 +130,17 @@ def total_known_payments(path: SimulationPath) -> float:
     """Exactly rounded sum of all payments in the known region."""
     n_i, n_j, n_k = path.params.dims
     known, *_ = _classification(n_i, n_j, n_k)
-    return math.fsum(path.payments.payments[known])
+    return _exact_sum(path.payments.payments[known])
 
 
 def reserve_breakdown(path: SimulationPath) -> ReserveBreakdown:
     """Classify every future payment into the IBNR or reported reserve."""
     n_i, n_j, n_k = path.params.dims
-    _, ibnr_cols, ibnr_cells, reported_future = _classification(n_i, n_j, n_k)
+    _, ibnr_cols, ibnr_cells, reported_future, _ = _classification(n_i, n_j, n_k)
     z = path.payments.payments
     ibnr_count = int(path.claims.counts[:, :, 0][ibnr_cols].sum())
-    ibnr_reserve = math.fsum(z[ibnr_cells])
-    reported_reserve = math.fsum(z[reported_future])
+    ibnr_reserve = _exact_sum(z[ibnr_cells])
+    reported_reserve = _exact_sum(z[reported_future])
     return ReserveBreakdown(
         ibnr_count=ibnr_count,
         ibnr_reserve=ibnr_reserve,

@@ -7,7 +7,8 @@ The development factor for column n is the volume-weighted ratio
 over the rows where both cells are known.  Future cells are filled forward
 by C[m, n+1] = C[m, n] * f_n and the row reserve is the completed ultimate
 minus the latest known cumulative value.  Rows known only at column 0 take
-the product of all remaining factors.
+the product of all remaining factors; a row with no known value cannot be
+completed and is an :class:`EstimationError` naming the row.
 
 When the expected triangle is multiplicative (every row proportional to one
 development pattern, e.g. a stationary portfolio), the factor estimates are
@@ -72,23 +73,34 @@ def chain_ladder(tri: Triangle) -> ChainLadderResult:
     if n_rows < 2:
         raise EstimationError(f"chain ladder needs at least 2 rows, got {n_rows}")
 
+    known = ~np.isnan(cum)
+    both = known[:, :-1] & known[:, 1:]
+    # Columns and masks as contiguous 1-D rows: each sum below adds the same
+    # elements in the same order (numpy's 1-D pairwise sum) as cum[both, n].
+    cols, both_cols = cum.T.copy(), both.T.copy()
     factors = np.ones(max(n_cols - 1, 0))
     for n in range(n_cols - 1):
-        both = ~np.isnan(cum[:, n]) & ~np.isnan(cum[:, n + 1])
-        denom = float(cum[both, n].sum()) if both.any() else 0.0
+        rows = both_cols[n]
+        denom = float(cols[n][rows].sum())
         if denom == 0.0:
             raise EstimationError(
                 f"cannot estimate development factor for column {n}: zero cumulative volume"
             )
-        factors[n] = float(cum[both, n + 1].sum()) / denom
+        factors[n] = float(cols[n + 1][rows].sum()) / denom
 
-    completed = cum.copy()
-    latest = np.zeros(n_rows, dtype=np.int64)
-    for r in range(n_rows):
-        known_cols = np.nonzero(~np.isnan(cum[r]))[0]
-        latest[r] = known_cols[-1]
-        for n in range(latest[r] + 1, n_cols):
-            completed[r, n] = completed[r, n - 1] * factors[n - 1]
+    unknown_rows = np.flatnonzero(~known.any(axis=1))
+    if unknown_rows.size:
+        raise EstimationError(f"cannot complete row {unknown_rows[0] + 1}: it has no known cumulative value")
+    latest = n_cols - 1 - np.argmax(known[:, ::-1], axis=1)
+
+    # Fill forward on Python floats (IEEE doubles, so each product is the
+    # one numpy would compute), in the same order as a row-by-row loop.
+    completed = cum.tolist()
+    f = factors.tolist()
+    for row, last in zip(completed, latest.tolist()):
+        for n in range(last + 1, n_cols):
+            row[n] = row[n - 1] * f[n - 1]
+    completed = np.array(completed)
 
     reserve_per_row = completed[:, -1] - cum[np.arange(n_rows), latest]
     return ChainLadderResult(

@@ -37,6 +37,14 @@ def _run_config(args):
     return load_config(args.config, overrides)
 
 
+def _output_dir(cfg) -> Path:
+    """The run's ``--out`` directory, created once its results are computed,
+    so that a rejected run leaves nothing behind."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -76,13 +84,11 @@ def _report_payload(report) -> dict:
 
 def _cmd_simulate(args) -> int:
     cfg = _run_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     distributions = run_monte_carlo(
         cfg.params, cfg.replicates, cfg.master_seed, cfg.statistics, workers=args.workers
     )
     moments = analytic_reserve_moments(cfg.params)
+    out = _output_dir(cfg)
 
     summary = {
         "master_seed": cfg.master_seed,
@@ -111,9 +117,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _run_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     validate_params(cfg.params)
     world = replicate_path(cfg.params, cfg.master_seed, 0, retain_severities=True)
     estimated = calibrated_params(world, fallback=cfg.params)
@@ -125,7 +128,7 @@ def _cmd_calibrate(args) -> int:
         quantile_levels=cfg.quantile_levels,
         output_dir=cfg.output_dir,
     )
-    target = out / "estimated_config.json"
+    target = _output_dir(cfg) / "estimated_config.json"
     write_config(exported, target)
     print(f"wrote estimated parameter configuration to {target}")
     return 0
@@ -133,10 +136,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _run_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     comparison = compare_2d_3d(cfg.params, cfg.replicates, cfg.master_seed)
+    out = _output_dir(cfg)
     _write_csv(
         out / "comparison.csv",
         ["replicate", "estimator", "target", "estimate", "truth", "error", "note"],

@@ -129,6 +129,11 @@ def param_errors(params: ModelParams) -> list[str]:
         errs.append(f"max_runoff must be >= 0, got {params.max_runoff}")
     if errs:
         return errs
+    if n_i * n_j * n_k > MAX_WORLD_CELLS:
+        errs.append(
+            f"occurrence_years: the world has I*J*(K+1) = {n_i * n_j * n_k} cells, "
+            f"more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"
+        )
 
     def check_shape(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> bool:
         if arr.shape != shape:

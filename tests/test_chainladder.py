@@ -92,6 +92,11 @@ def test_zero_volume_column_names_the_column():
         chain_ladder(cumulative([[0.0, 0.0, 0.0], [0.0, 0.0, nan], [0.0, nan, nan]]))
 
 
+def test_fully_unknown_row_names_the_row():
+    with pytest.raises(EstimationError, match="row 2: it has no known cumulative value"):
+        chain_ladder(cumulative([[50.0, 80.0, 90.0], [nan, nan, nan], [55.0, 85.0, nan]]))
+
+
 def test_completed_triangle_agrees_on_known_region():
     vals = np.array([[50.0, 80.0, 90.0], [60.0, 95.0, nan], [55.0, nan, nan]])
     result = chain_ladder(cumulative(vals))

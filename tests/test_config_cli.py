@@ -295,6 +295,28 @@ def test_simulate_rejects_workers_below_one(tmp_path, capsys, workers):
     assert line.startswith("error: ") and "workers" in line
 
 
+def zero_claims_config(tmp_path):
+    path = small_config(tmp_path)
+    mapping = json.loads(path.read_text())
+    mapping["model"]["expected_counts"] = {"values": [0.0] * 4}
+    write_config(mapping, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, extra, make_config",
+    [
+        ("simulate", ["--workers", "0"], small_config),
+        ("compare", ["--replicates", "0"], small_config),
+        ("calibrate", [], zero_claims_config),
+    ],
+)
+def test_rejected_run_leaves_no_output_directory(tmp_path, command, extra, make_config):
+    out = tmp_path / "never"
+    assert main([command, "--config", str(make_config(tmp_path)), "--out", str(out), *extra]) == 1
+    assert not out.exists()
+
+
 def plateau_config(tmp_path):
     path = small_config(tmp_path, replicates=3)
     mapping = json.loads(path.read_text())

@@ -13,11 +13,13 @@ from claimcube import (
     default_params,
     make_expected_counts,
     param_errors,
+    run_monte_carlo,
     simulate_counts,
     simulate_path,
     simulate_payments,
     validate_params,
 )
+from claimcube.model import MAX_WORLD_CELLS
 
 
 # --- expected count curve ---------------------------------------------------
@@ -98,6 +100,29 @@ def test_all_violations_collected():
     )
     errs = param_errors(params)
     assert len(errs) >= 6
+
+
+def test_world_built_in_code_is_bounded():
+    # 2**13 * 2**12 * 2 = 2**26 cells, from parameter arrays of kilobytes
+    params = ModelParams(
+        occurrence_years=2**13,
+        max_lag=2**12,
+        max_runoff=1,
+        expected_counts=1.0,
+        lag_probs=np.full(2**12, 2.0**-12),
+        survival=[1.0, 0.5],
+        pay_prob=0.5,
+        severity_mean=10.0,
+        severity_var=20.0,
+    )
+    assert params.occurrence_years * params.max_lag * 2 > MAX_WORLD_CELLS
+    assert param_errors(params) == [
+        f"occurrence_years: the world has I*J*(K+1) = {2**26} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"
+    ]
+    with pytest.raises(ParameterError, match="MAX_WORLD_CELLS"):
+        validate_params(params)
+    with pytest.raises(ParameterError, match="MAX_WORLD_CELLS"):
+        run_monte_carlo(params, 1, 0, ("total_reserve",))
 
 
 def test_survival_plateau_warns(make_params):

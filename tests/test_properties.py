@@ -6,8 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from claimcube import ModelParams, RandomStream, simulate_counts, simulate_path, validate_params
+from claimcube import (
+    ClaimTensor,
+    EstimationError,
+    ModelParams,
+    PaymentTensor,
+    RandomStream,
+    SimulationPath,
+    Triangle,
+    chain_ladder,
+    reserve_breakdown,
+    simulate_counts,
+    simulate_path,
+    total_known_payments,
+    triangle_occurrence,
+    triangle_reporting,
+    validate_params,
+)
 
 unit = st.floats(0.0, 1.0)
 
@@ -74,3 +91,161 @@ def test_counts_follow_the_shape_of_the_survival_curve(params, seed):
     assert np.all(counts[:, :, eta == 0] == 0)
     plateau = np.flatnonzero(np.diff(eta) == 0) + 1
     assert np.array_equal(counts[:, :, plateau], counts[:, :, plateau - 1])
+
+
+# --- exact sums over sparse payment tensors -------------------------------------
+
+#: Payment amounts: mostly +0.0, with magnitudes far enough apart that a
+#: naive float sum rounds differently from an exactly rounded one.
+odd_amount = st.sampled_from([0.0, 1.0, 3.0, 1e16, 2.0**-60])
+amount = st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), odd_amount, st.floats(0.0, 1e18))
+
+
+@st.composite
+def sparse_world(draw):
+    """A hand-built path: payments mostly +0.0, with one all-zero (i, j, k) box."""
+    n_i, n_j, n_k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    z = draw(hnp.arrays(float, (n_i, n_j, n_k), elements=amount, fill=st.nothing()))
+    lo = [draw(st.integers(0, n - 1)) for n in (n_i, n_j, n_k)]
+    hi = [draw(st.integers(a, n)) for a, n in zip(lo, (n_i, n_j, n_k))]
+    z[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = 0.0
+    counts = draw(hnp.arrays(np.int64, (n_i, n_j, n_k), elements=st.integers(0, 50)))
+    params = ModelParams(
+        occurrence_years=n_i,
+        max_lag=n_j,
+        max_runoff=n_k - 1,
+        expected_counts=1.0,
+        lag_probs=np.full(n_j, 1.0 / n_j),
+        survival=np.ones(n_k),
+        pay_prob=1.0,
+        severity_mean=1.0,
+        severity_var=0.0,
+    )
+    return SimulationPath(params, ClaimTensor(counts=counts), PaymentTensor(payments=z))
+
+
+def cells_where(path, keep):
+    """Payments of the cells (1-based i, j, k) that ``keep`` selects, ascending (i, j, k)."""
+    n_i, n_j, n_k = path.params.dims
+    z = path.payments.payments
+    return [
+        float(z[i - 1, j, k])
+        for i in range(1, n_i + 1)
+        for j in range(n_j)
+        for k in range(n_k)
+        if keep(i, j, k, n_i)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=sparse_world())
+def test_reserve_sums_are_exact_and_decompose(path):
+    breakdown = reserve_breakdown(path)
+    ibnr = math.fsum(cells_where(path, lambda i, j, k, n: i + j > n))
+    reported = math.fsum(cells_where(path, lambda i, j, k, n: i + j <= n < i + j + k))
+    n_i, n_j, _ = path.params.dims
+    counts = path.claims.counts
+    ibnr_count = sum(int(counts[i - 1, j, 0]) for i in range(1, n_i + 1) for j in range(n_j) if i + j > n_i)
+    assert breakdown.ibnr_count == ibnr_count
+    assert breakdown.ibnr_reserve == ibnr
+    assert breakdown.reported_reserve == reported
+    assert breakdown.total_reserve == ibnr + reported
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=sparse_world())
+def test_triangles_partition_the_known_payments_exactly(path):
+    n_i, n_j, n_k = path.params.dims
+    known = math.fsum(cells_where(path, lambda i, j, k, n: i + j + k <= n))
+    assert total_known_payments(path) == known
+    for tri, row_col in (
+        (triangle_occurrence(path), lambda i, j, k: (i - 1, j + k)),
+        (triangle_reporting(path), lambda i, j, k: (i + j - 1, k)),
+    ):
+        assert tri.known_total == known
+        # each known triangle cell is the plain ascending (i, j, k) sum of its cells
+        expected = np.full((n_i, n_i), math.nan)
+        expected[np.add.outer(np.arange(n_i), np.arange(n_i)) <= n_i - 1] = 0.0
+        for i in range(1, n_i + 1):
+            for j in range(n_j):
+                for k in range(n_k):
+                    if i + j + k <= n_i:
+                        expected[row_col(i, j, k)] += path.payments.payments[i - 1, j, k]
+        assert tri.values.tobytes() == expected.tobytes()
+
+
+# --- Chain-Ladder against the row-by-row algorithm --------------------------------
+
+
+def row_loop_chain_ladder(cum):
+    """Reference Chain-Ladder: boolean-masked factor sums and a per-cell fill loop."""
+    n_rows, n_cols = cum.shape
+    if n_rows < 2:
+        raise EstimationError(f"chain ladder needs at least 2 rows, got {n_rows}")
+    factors = np.ones(max(n_cols - 1, 0))
+    for n in range(n_cols - 1):
+        both = ~np.isnan(cum[:, n]) & ~np.isnan(cum[:, n + 1])
+        denom = float(cum[both, n].sum()) if both.any() else 0.0
+        if denom == 0.0:
+            raise EstimationError(f"cannot estimate development factor for column {n}: zero cumulative volume")
+        factors[n] = float(cum[both, n + 1].sum()) / denom
+    completed = cum.copy()
+    latest = np.zeros(n_rows, dtype=np.int64)
+    for r in range(n_rows):
+        known_cols = np.nonzero(~np.isnan(cum[r]))[0]
+        if known_cols.size == 0:
+            raise EstimationError(f"cannot complete row {r + 1}: it has no known cumulative value")
+        latest[r] = known_cols[-1]
+        for n in range(latest[r] + 1, n_cols):
+            completed[r, n] = completed[r, n - 1] * factors[n - 1]
+    reserve_per_row = completed[:, -1] - cum[np.arange(n_rows), latest]
+    return factors, completed, reserve_per_row, float(reserve_per_row.sum())
+
+
+@st.composite
+def cumulative_triangle(draw):
+    """Cumulative values with zero columns, a latest known column per row (-1 for
+    a row with no known cell) and scattered unknown (NaN) cells before it."""
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    steps = draw(hnp.arrays(float, (n_rows, n_cols), elements=odd_amount | st.floats(0.0, 1e6), fill=st.nothing()))
+    rare = st.sampled_from([False, False, False, True])
+    steps[:, draw(hnp.arrays(bool, n_cols, elements=rare, fill=st.nothing()))] = 0.0
+    cum = np.cumsum(steps, axis=1)
+    holes = draw(hnp.arrays(bool, (n_rows, n_cols), elements=rare, fill=st.nothing()))
+    cum[holes] = math.nan
+    unknown_tail = st.lists(st.integers(0, n_cols), min_size=n_rows, max_size=n_rows)
+    for row, tail in zip(cum, draw(unknown_tail)):
+        last = n_cols - 1 - tail
+        if last >= 0 and math.isnan(row[last]):
+            row[last] = draw(st.floats(0.0, 1e6))
+        row[last + 1 :] = math.nan
+    return cum
+
+
+def outcome(fit, cum):
+    try:
+        return fit(cum)
+    except EstimationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cum=cumulative_triangle())
+def test_chain_ladder_equals_the_row_loop_bit_for_bit(cum):
+    def fit(values):
+        result = chain_ladder(Triangle(values, "occurrence", "cumulative", values.shape[0]))
+        return (
+            result.development_factors,
+            result.completed,
+            result.reserve_per_row,
+            result.total_reserve_estimate,
+        )
+
+    got, want = outcome(fit, cum), outcome(row_loop_chain_ladder, cum)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for a, b in zip(got[:3], want[:3]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
