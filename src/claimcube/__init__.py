@@ -37,9 +37,11 @@ from .chainladder import (
 )
 from .config import RunConfig, config_from_params, load_config, parse_config, write_config
 from .engine import (
+    BLOCK_CELLS,
     DEFAULT_STATISTICS,
     EmpiricalDistribution,
     RiskReport,
+    block_replicates,
     build_risk_report,
     expected_shortfall,
     replicate_path,
@@ -65,6 +67,7 @@ from .streams import RandomStream, gamma_shape_scale
 __version__ = "0.1.0"
 
 __all__ = [
+    "BLOCK_CELLS",
     "ChainLadderResult",
     "ClaimTensor",
     "Comparison",
@@ -84,6 +87,7 @@ __all__ = [
     "SimulationPath",
     "Triangle",
     "analytic_reserve_moments",
+    "block_replicates",
     "build_risk_report",
     "calibrated_params",
     "chain_ladder",

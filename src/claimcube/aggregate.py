@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,22 +46,36 @@ def _exact_sum(values: np.ndarray) -> float:
     return math.fsum(values[values != 0].tolist())
 
 
+class _Cells(NamedTuple):
+    """Flat indices, ascending over one world's raveled (i, j, k) cells, of
+    the three cell classes at horizon I, and the (i, j, k) of the known cells."""
+
+    known: np.ndarray
+    ibnr: np.ndarray
+    reported_future: np.ndarray
+    ibnr_cols: np.ndarray  # the k = 0 cell of each IBNR (i, j) column
+    known_ijk: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @lru_cache(maxsize=64)
-def _classification(n_i: int, n_j: int, n_k: int):
-    """Masks for the three cell classes at horizon I = n_i, and the (i, j, k)
-    indices of the known cells in ascending order (cached per shape)."""
+def _classification(n_i: int, n_j: int, n_k: int) -> _Cells:
+    """The cell classes of an (n_i, n_j, n_k) world (cached per shape)."""
     i = np.arange(1, n_i + 1)[:, None, None]
     j = np.arange(n_j)[None, :, None]
     k = np.arange(n_k)[None, None, :]
     age = i + j + k
     known = age <= n_i
-    ibnr_cols = (np.arange(1, n_i + 1)[:, None] + np.arange(n_j)[None, :]) > n_i
-    ibnr = np.ascontiguousarray(np.broadcast_to(ibnr_cols[:, :, None], known.shape))
-    reported_future = (~ibnr) & (age > n_i)
-    known_idx = np.nonzero(known)
-    for arr in (known, ibnr_cols, ibnr, reported_future, *known_idx):
+    ibnr = np.broadcast_to(i + j > n_i, known.shape)
+    cells = _Cells(
+        known=np.flatnonzero(known),
+        ibnr=np.flatnonzero(ibnr),
+        reported_future=np.flatnonzero(~ibnr & (age > n_i)),
+        ibnr_cols=np.flatnonzero(ibnr & (k == 0)),
+        known_ijk=np.nonzero(known),
+    )
+    for arr in (*cells[:4], *cells.known_ijk):
         arr.flags.writeable = False
-    return known, ibnr_cols, ibnr, reported_future, known_idx
+    return cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +115,7 @@ class ReserveBreakdown:
 
 
 def _project(payments: np.ndarray, rows: np.ndarray, cols: np.ndarray, known: np.ndarray, horizon: int):
-    weights = payments[known]
+    weights = payments.reshape(-1).take(known)
     flat = rows * horizon + cols
     cells = np.bincount(flat, weights=weights, minlength=horizon * horizon)
     values = cells.reshape(horizon, horizon)
@@ -112,41 +127,59 @@ def _project(payments: np.ndarray, rows: np.ndarray, cols: np.ndarray, known: np
 
 def triangle_occurrence(path: SimulationPath) -> Triangle:
     """Incremental triangle of known payments: occurrence year vs j+k."""
-    n_i, n_j, n_k = path.params.dims
-    known, *_, (ii, jj, kk) = _classification(n_i, n_j, n_k)
-    values, total = _project(path.payments.payments, ii, jj + kk, known, n_i)
+    n_i = path.params.occurrence_years
+    cells = _classification(*path.params.dims)
+    ii, jj, kk = cells.known_ijk
+    values, total = _project(path.payments.payments, ii, jj + kk, cells.known, n_i)
     return Triangle(values, "occurrence", "incremental", n_i, total)
 
 
 def triangle_reporting(path: SimulationPath) -> Triangle:
     """Incremental triangle of known payments: reporting year (i+j) vs k."""
-    n_i, n_j, n_k = path.params.dims
-    known, *_, (ii, jj, kk) = _classification(n_i, n_j, n_k)
-    values, total = _project(path.payments.payments, ii + jj, kk, known, n_i)
+    n_i = path.params.occurrence_years
+    cells = _classification(*path.params.dims)
+    ii, jj, kk = cells.known_ijk
+    values, total = _project(path.payments.payments, ii + jj, kk, cells.known, n_i)
     return Triangle(values, "reporting", "incremental", n_i, total)
+
+
+def _world_statistics(path: SimulationPath, names) -> dict[str, list]:
+    """Per world of ``path`` (one world, or a block with a leading world axis),
+    the statistics ``names``, one list entry per world.
+
+    ``ibnr_count`` counts the claims of the IBNR columns at k = 0; the
+    reserves and ``known_payments`` are exactly rounded sums over each world's
+    cells of the class, gathered for all worlds at once, and ``total_reserve``
+    is ``ibnr_reserve + reported_reserve`` (one addition).
+    """
+    cells = _classification(*path.params.dims)
+    z = path.payments.payments.reshape(-1, math.prod(path.params.dims))
+
+    def sums(index: np.ndarray) -> list[float]:
+        return [_exact_sum(row) for row in z.take(index, axis=1)]
+
+    stats = {}
+    if "ibnr_count" in names:
+        counts = path.claims.counts.reshape(len(z), -1)
+        stats["ibnr_count"] = counts.take(cells.ibnr_cols, axis=1).sum(axis=1).tolist()
+    if "known_payments" in names:
+        stats["known_payments"] = sums(cells.known)
+    if {"ibnr_reserve", "reported_reserve", "total_reserve"} & set(names):
+        ibnr, reported = sums(cells.ibnr), sums(cells.reported_future)
+        stats["ibnr_reserve"], stats["reported_reserve"] = ibnr, reported
+        stats["total_reserve"] = [a + b for a, b in zip(ibnr, reported)]
+    return stats
 
 
 def total_known_payments(path: SimulationPath) -> float:
     """Exactly rounded sum of all payments in the known region."""
-    n_i, n_j, n_k = path.params.dims
-    known, *_ = _classification(n_i, n_j, n_k)
-    return _exact_sum(path.payments.payments[known])
+    return _world_statistics(path, ("known_payments",))["known_payments"][0]
 
 
 def reserve_breakdown(path: SimulationPath) -> ReserveBreakdown:
     """Classify every future payment into the IBNR or reported reserve."""
-    n_i, n_j, n_k = path.params.dims
-    _, ibnr_cols, ibnr_cells, reported_future, _ = _classification(n_i, n_j, n_k)
-    z = path.payments.payments
-    ibnr_count = int(path.claims.counts[:, :, 0][ibnr_cols].sum())
-    ibnr_reserve = _exact_sum(z[ibnr_cells])
-    reported_reserve = _exact_sum(z[reported_future])
-    return ReserveBreakdown(
-        ibnr_count=ibnr_count,
-        ibnr_reserve=ibnr_reserve,
-        reported_reserve=reported_reserve,
-        total_reserve=ibnr_reserve + reported_reserve,
-    )
+    stats = _world_statistics(path, ("ibnr_count", "total_reserve"))
+    return ReserveBreakdown(**{name: values[0] for name, values in stats.items()})
 
 
 def mean_claim_size(path: SimulationPath) -> np.ndarray:

@@ -30,7 +30,7 @@ from .aggregate import (
     triangle_occurrence,
     triangle_reporting,
 )
-from .engine import _replicate_loop
+from .engine import _replicate_loop, _worlds
 from .errors import EstimationError, ParameterError
 from .model import ModelParams
 
@@ -179,7 +179,9 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Com
     affected replicate and excluded from bias/RMSE; they never abort the
     sweep.
     """
-    scored = _replicate_loop(params, replicates, master_seed, _score_replicate)
+    scored = _replicate_loop(
+        params, replicates, master_seed, lambda _, block: [_score_replicate(w) for w in _worlds(block)]
+    )
     analytic = (analytic_reserve_moments(params)["total_reserve"].mean, "")
     records = []
     for r, (truths, estimates) in enumerate(scored):

@@ -16,11 +16,17 @@ import sys
 import warnings
 from pathlib import Path
 
-from .aggregate import analytic_reserve_moments, triangle_occurrence, triangle_reporting
+from .aggregate import analytic_reserve_moments
 from .calibrate import calibrated_params
 from .chainladder import compare_2d_3d
 from .config import config_from_params, load_config, write_config
-from .engine import build_risk_report, replicate_path, run_monte_carlo
+from .engine import (
+    _replicate_zero_triangles,
+    block_replicates,
+    build_risk_report,
+    replicate_path,
+    run_monte_carlo,
+)
 from .errors import EstimationError, ParameterError
 from .model import validate_params
 
@@ -84,15 +90,18 @@ def _report_payload(report) -> dict:
 
 def _cmd_simulate(args) -> int:
     cfg = _run_config(args)
-    distributions = run_monte_carlo(
-        cfg.params, cfg.replicates, cfg.master_seed, cfg.statistics, workers=args.workers
-    )
+    with _replicate_zero_triangles() as triangles:
+        distributions = run_monte_carlo(
+            cfg.params, cfg.replicates, cfg.master_seed, cfg.statistics, workers=args.workers
+        )
+    occurrence, reporting = triangles
     moments = analytic_reserve_moments(cfg.params)
     out = _output_dir(cfg)
 
     summary = {
         "master_seed": cfg.master_seed,
         "replicates": cfg.replicates,
+        "block_replicates": block_replicates(cfg.params),
         "statistics": {},
     }
     for name in cfg.statistics:
@@ -107,9 +116,8 @@ def _cmd_simulate(args) -> int:
 
     write_config(summary, out / "summary.json")
 
-    first_path = replicate_path(cfg.params, cfg.master_seed, 0)
-    _write_triangle_csv(triangle_occurrence(first_path), out / "triangle_occurrence.csv")
-    _write_triangle_csv(triangle_reporting(first_path), out / "triangle_reporting.csv")
+    _write_triangle_csv(occurrence, out / "triangle_occurrence.csv")
+    _write_triangle_csv(reporting, out / "triangle_reporting.csv")
 
     print(f"wrote {len(cfg.statistics)} distributions, summary.json and triangles to {out}")
     return 0

@@ -52,13 +52,19 @@ def _as_number(value, path: str, errs: list[str], *, integer: bool = False):
         kind = "an integer" if integer else "a number"
         errs.append(f"{path}: expected {kind}, got {value!r}")
         return None
+    if not integer:
+        try:
+            float(value)
+        except OverflowError:
+            errs.append(f"{path}: expected a number in float range, got a {value.bit_length()}-bit integer")
+            return None
     return value
 
 
 def _as_array(value, path: str, errs: list[str], ndim: int):
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer past float range
         errs.append(f"{path}: expected a numeric array")
         return None
     if arr.ndim != ndim:

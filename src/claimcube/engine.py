@@ -1,10 +1,16 @@
 """Monte Carlo driver, empirical reserve distributions and risk measures.
 
-Replicate ``r`` of a run is the world :func:`replicate_path` simulates from
-stream id ``r`` of the master seed; nothing else in the package maps a
-replicate to a stream.  Every replicate sweep (:func:`run_monte_carlo` and
+Replicates are drawn in blocks of ``B = block_replicates(params)`` worlds,
+``max(1, BLOCK_CELLS // (I*J*(K+1)))``.  Replicate ``r`` is world ``r % B``
+of block ``r // B``, which the kernel draws from stream id ``r // B`` of the
+master seed; :func:`replicate_path` gives that world alone, and nothing else
+in the package maps a replicate to a stream.  A block of fewer than ``B``
+worlds holds exactly the first worlds of the full block, so replicate ``r``
+does not depend on the number of replicates in the run.
+
+Every replicate sweep (:func:`run_monte_carlo` and
 :func:`claimcube.chainladder.compare_2d_3d`) runs through one loop,
-:func:`_replicate_loop`: each replicate's result is computed inside its own
+:func:`_replicate_loop`: each block is drawn and reduced inside its own
 task, and results are collected in replicate order.  They are therefore
 bit-identical for any worker count and any scheduling order.
 """
@@ -15,21 +21,25 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import MomentPair, reserve_breakdown, total_known_payments
+from .aggregate import MomentPair, Triangle, _world_statistics, triangle_occurrence, triangle_reporting
 from .errors import ParameterError
-from .model import ModelParams, SimulationPath, simulate_path, validate_params
+from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path, validate_params
 from .streams import RandomStream
 
 __all__ = [
+    "BLOCK_CELLS",
     "DEFAULT_QUANTILE_LEVELS",
     "DEFAULT_STATISTICS",
     "SUPPORTED_STATISTICS",
     "EmpiricalDistribution",
     "RiskReport",
+    "block_replicates",
     "build_risk_report",
     "expected_shortfall",
     "replicate_path",
@@ -42,6 +52,11 @@ DEFAULT_STATISTICS = ("ibnr_count", "ibnr_reserve", "reported_reserve", "total_r
 DEFAULT_QUANTILE_LEVELS = (0.75, 0.9, 0.95, 0.99)
 #: Every statistic name :func:`run_monte_carlo` and run configurations accept.
 SUPPORTED_STATISTICS = tuple(sorted(DEFAULT_STATISTICS + ("known_payments",)))
+
+#: Cells in one block of replicates: a block holds B = max(1, BLOCK_CELLS //
+#: (I*J*(K+1))) worlds, 3 on the default portfolio, and a world above
+#: BLOCK_CELLS cells is a block of its own.  Part of the determinism promise.
+BLOCK_CELLS = 2**15
 
 #: Snap tolerance when mapping a level to an order-statistic rank; absorbs
 #: float fuzz in products like (1 - 0.95) * n without moving genuine ranks.
@@ -140,52 +155,77 @@ def build_risk_report(
     )
 
 
-def _statistic_row(path, names):
-    breakdown = reserve_breakdown(path)
-    row = []
-    for name in names:
-        if name == "known_payments":
-            row.append(total_known_payments(path))
-        else:
-            row.append(float(getattr(breakdown, name)))
-    return row
+def block_replicates(params: ModelParams) -> int:
+    """B, the number of worlds per block of replicates for ``params``."""
+    n_i, n_j, n_k = params.dims
+    return max(1, BLOCK_CELLS // (n_i * n_j * n_k))
+
+
+def _world(block: SimulationPath, b: int, severities=None) -> SimulationPath:
+    """World ``b`` of a block path, as read-only views of the block's tensors."""
+    claims = block.claims
+    return SimulationPath(
+        params=block.params,
+        claims=ClaimTensor(claims.counts[b], claims.pay_counts[b]),
+        payments=PaymentTensor(block.payments.payments[b]),
+        severities=severities,
+    )
+
+
+def _worlds(block: SimulationPath) -> list[SimulationPath]:
+    """Every world of a block path, in replicate order."""
+    return [_world(block, b) for b in range(len(block.payments.payments))]
 
 
 def replicate_path(
     params: ModelParams, master_seed: int, replicate: int, *, retain_severities: bool = False
 ) -> SimulationPath:
-    """The world of replicate ``replicate``: substream ``replicate`` of ``master_seed``.
+    """The world of replicate ``replicate``: world ``r % B`` of block ``r // B``.
 
-    Assumes ``params`` passed :func:`validate_params`.
+    Draws only the first ``r % B + 1`` worlds of the block.  Assumes
+    ``params`` passed :func:`validate_params`.
     """
-    return simulate_path(
-        RandomStream(master_seed, replicate), params, retain_severities=retain_severities
+    block, offset = divmod(replicate, block_replicates(params))
+    path = simulate_path(
+        RandomStream(master_seed, block), params, retain_severities=retain_severities, size=offset + 1
     )
+    return _world(path, offset, path.severities)
 
 
 def _replicate_loop(
-    params: ModelParams, replicates: int, master_seed: int, per_replicate, *, workers: int = 1
+    params: ModelParams, replicates: int, master_seed: int, per_block, *, workers: int = 1
 ) -> list:
-    """``[per_replicate(path_r) for r in range(replicates)]`` on validated params.
+    """Per-replicate results of ``per_block`` over all blocks, in replicate order.
 
-    ``path_r`` is :func:`replicate_path` of ``r``.  With ``workers > 1`` the
-    replicates run on a thread pool of at most ``workers``, ``replicates``
-    and CPU-count threads, and the results still come back in replicate order.
+    ``per_block(first, block_path)`` returns one result per world of the
+    block whose first replicate is ``first``.  With ``workers > 1`` the blocks
+    run on a thread pool of at most ``workers``, block-count and CPU-count
+    threads.  Validates ``params``.
     """
     validate_params(params)
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates!r}")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
-    threads = min(workers, replicates, os.cpu_count() or 1)
+    size = block_replicates(params)
+    starts = range(0, replicates, size)
+    threads = min(workers, len(starts), os.cpu_count() or 1)
 
-    def one(r: int):
-        return per_replicate(replicate_path(params, master_seed, r))
+    def one(first: int) -> list:
+        stream = RandomStream(master_seed, first // size)
+        return per_block(first, simulate_path(stream, params, size=min(size, replicates - first)))
 
     if threads == 1:
-        return [one(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(replicates)))
+        blocks = [one(first) for first in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(one, starts))
+    return [result for results in blocks for result in results]
+
+
+#: Set by :func:`_replicate_zero_triangles`: a list that receives the two
+#: triangles of replicate 0's world from :func:`run_monte_carlo`.
+_first_triangles: ContextVar[list | None] = ContextVar("first_triangles", default=None)
 
 
 def run_monte_carlo(
@@ -204,12 +244,35 @@ def run_monte_carlo(
     bad = [n for n in names if n not in SUPPORTED_STATISTICS]
     if bad:
         raise ParameterError(f"unknown statistics {bad}; supported: {list(SUPPORTED_STATISTICS)}")
+    sink = _first_triangles.get()
 
-    rows = _replicate_loop(
-        params, replicates, master_seed, lambda path: _statistic_row(path, names), workers=workers
-    )
-    values = np.array(rows, dtype=float)
+    def rows(first: int, block: SimulationPath) -> list:
+        if first == 0 and sink is not None:
+            world = _world(block, 0)
+            sink.extend((triangle_occurrence(world), triangle_reporting(world)))
+        stats = _world_statistics(block, names)
+        return list(zip(*(stats[name] for name in names)))
+
+    values = np.array(_replicate_loop(params, replicates, master_seed, rows, workers=workers), dtype=float)
     return {
         name: EmpiricalDistribution(values[:, c], statistic_name=name)
         for c, name in enumerate(names)
     }
+
+
+@contextmanager
+def _replicate_zero_triangles():
+    """Collect the occurrence and reporting triangles of replicate 0 from
+    the :func:`run_monte_carlo` call made inside the ``with`` block.
+
+    ``simulate`` writes its triangles from the world its run drew instead
+    of drawing it a second time.  They travel through a context variable
+    rather than a parameter so that :func:`run_monte_carlo` keeps its public
+    signature and return value, and the command still calls it by name.
+    """
+    sink: list[Triangle] = []
+    token = _first_triangles.set(sink)
+    try:
+        yield sink
+    finally:
+        _first_triangles.reset(token)

@@ -27,17 +27,28 @@ on the occurrence year).  A cell's payment total is drawn as one Gamma
 variate (the sum of iid Gammas is Gamma), so a world costs time and memory
 in proportion to its cells, not its payments.  Individual amounts exist
 only on request, split from the cell totals by a conditional Dirichlet.
+
+The kernel draws a *block* of worlds at once, as tensors with a leading
+world axis ``(n, I, J, K+1)``: one generator call per stage (Poisson,
+multinomial, binomial, Gamma) for the whole block, each stage on its own
+generator of the block's :class:`~claimcube.streams.RandomStream`.  The
+first ``n`` worlds of a block do not depend on how many more are drawn, and
+a single world (``size=None``) is the block's first world as ``(I, J, K+1)``
+tensors.  The per-parameter constants of the kernel are computed once per
+:class:`ModelParams` and cached on it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .streams import PROB_TOL, RandomStream, gamma_shape_scale
+from .streams import BINOMIAL, GAMMA, MULTINOMIAL, POISSON, PROB_TOL, RandomStream, gamma_shape_scale
 
 __all__ = [
     "ClaimTensor",
@@ -61,6 +72,25 @@ MAX_WORLD_CELLS = 2**25
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` itself when it is a read-only array of ``dtype`` (a kernel
+    tensor or a view of one), else a frozen copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    return _frozen(np.array(values, dtype=dtype))
+
+
+class _Kernel(NamedTuple):
+    """Per-parameter constants of the world kernel."""
+
+    column_means: np.ndarray  # (I, J): expected_counts[i] * lag_probs[j]
+    last_active_probs: np.ndarray  # (K+1,): survival[k] - survival[k+1]
+    stochastic: np.ndarray  # (J, K+1): severity variance > 0
+    shape: np.ndarray  # Gamma shape of one severity, flat over (j, k); 1 where not stochastic
+    scale: np.ndarray  # Gamma scale, flat over (j, k); 1 where not stochastic
+    fixed_mean: np.ndarray  # (J, K+1): severity mean of a zero-variance cell, else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +135,25 @@ class ModelParams:
         """Tensor shape ``(I, J, K+1)``."""
         return self.occurrence_years, self.max_lag, self.max_runoff + 1
 
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        """The world kernel's constants; valid once the params pass :func:`validate_params`."""
+        stochastic = self.severity_var > 0.0
+        shape = np.ones(stochastic.size)
+        scale = np.ones(stochastic.size)
+        flat = stochastic.ravel()
+        shape[flat], scale[flat] = gamma_shape_scale(
+            self.severity_mean.ravel()[flat], self.severity_var.ravel()[flat]
+        )
+        return _Kernel(
+            column_means=_frozen(self.expected_counts[:, None] * self.lag_probs[None, :]),
+            last_active_probs=_frozen(-np.diff(self.survival, append=0.0)),
+            stochastic=_frozen(stochastic),
+            shape=_frozen(shape),
+            scale=_frozen(scale),
+            fixed_mean=_frozen(np.where(stochastic, 0.0, self.severity_mean)),
+        )
+
 
 def make_expected_counts(base: float, growth: float, years: int) -> np.ndarray:
     """Expected ultimate counts growing geometrically: base * (1+growth)^(i-1)."""
@@ -114,7 +163,8 @@ def make_expected_counts(base: float, growth: float, years: int) -> np.ndarray:
         raise ParameterError(f"growth must be > -1, got {growth!r}")
     if years < 1:
         raise ParameterError(f"years must be >= 1, got {years!r}")
-    return base * (1.0 + growth) ** np.arange(years, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow is a non-finite count, named by param_errors
+        return base * (1.0 + growth) ** np.arange(years, dtype=float)
 
 
 def param_errors(params: ModelParams) -> list[str]:
@@ -204,15 +254,17 @@ class ClaimTensor:
     """Active-claim counts, and payment counts once payments were simulated.
 
     ``counts[i-1, j, k]`` never increases along k; ``0 <= pay_counts <= counts``.
+    A block of worlds carries a leading world axis.  Read-only int64 arrays
+    are shared, anything else is copied.
     """
 
     counts: np.ndarray
     pay_counts: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _frozen(np.array(self.counts, dtype=np.int64)))
+        object.__setattr__(self, "counts", _read_only(self.counts, np.int64))
         if self.pay_counts is not None:
-            object.__setattr__(self, "pay_counts", _frozen(np.array(self.pay_counts, dtype=np.int64)))
+            object.__setattr__(self, "pay_counts", _read_only(self.pay_counts, np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,17 +274,18 @@ class PaymentTensor:
     payments: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "payments", _frozen(np.array(self.payments, dtype=float)))
+        object.__setattr__(self, "payments", _read_only(self.payments, np.float64))
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationPath:
-    """One fully simulated world: parameters, counts and payments.
+    """One fully simulated world, or a block of them: parameters, counts and payments.
 
-    ``severities`` is only present when the path was simulated with
-    ``retain_severities=True``; it maps ``(j, k)`` to the individual payment
-    amounts of that (lag, run-off) cell, pooled over occurrence years in
-    ascending order.
+    The tensors of a block carry a leading world axis.  ``severities`` is only
+    present when the path was simulated with ``retain_severities=True``; it
+    maps ``(j, k)`` to the individual payment amounts of that (lag, run-off)
+    cell, pooled over occurrence years in ascending order (of the last world,
+    for a block).
     """
 
     params: ModelParams
@@ -241,19 +294,22 @@ class SimulationPath:
     severities: dict[tuple[int, int], np.ndarray] | None = None
 
 
-def simulate_counts(stream: RandomStream, params: ModelParams) -> ClaimTensor:
-    """Draw the active-claim count tensor for one world in two generator calls.
+def simulate_counts(stream: RandomStream, params: ModelParams, size: int | None = None) -> ClaimTensor:
+    """Draw the active-claim counts of one world, or of a block of ``size`` worlds.
 
-    Poisson (i, j) columns, then one multinomial over the last active run-off
-    year with probabilities ``survival[k] - survival[k+1]`` (``survival[K+1] =
-    0``); ``counts[..., k]`` counts the claims whose last active year is >= k.
-    Assumes ``params`` passed :func:`validate_params`.
+    Two generator calls: Poisson (i, j) columns, then one multinomial over the
+    last active run-off year with probabilities ``survival[k] - survival[k+1]``
+    (``survival[K+1] = 0``); ``counts[..., k]`` counts the claims whose last
+    active year is >= k.  Assumes ``params`` passed :func:`validate_params`.
     """
-    gen = stream.generator
-    reported = gen.poisson(params.expected_counts[:, None] * params.lag_probs[None, :])
-    last_active = gen.multinomial(reported, -np.diff(params.survival, append=0.0))
-    counts = np.cumsum(last_active[:, :, ::-1], axis=2)[:, :, ::-1]
-    return ClaimTensor(counts=counts)
+    kernel = params._kernel
+    shape = kernel.column_means.shape if size is None else (size, *kernel.column_means.shape)
+    gens = stream.generators
+    reported = gens[POISSON].poisson(np.broadcast_to(kernel.column_means, shape))
+    counts = gens[MULTINOMIAL].multinomial(reported, kernel.last_active_probs)
+    # Reverse cumulative sum over k, in place: last active year -> active counts.
+    np.cumsum(counts[..., ::-1], axis=-1, out=counts[..., ::-1])
+    return ClaimTensor(counts=_frozen(counts))
 
 
 def simulate_payments(
@@ -262,39 +318,43 @@ def simulate_payments(
     counts: ClaimTensor,
     retain_severities: bool = False,
 ):
-    """Draw payment counts and cell amounts on top of a count tensor.
+    """Draw payment counts and cell amounts on top of a count tensor (or block).
 
     Per cell, the payment count ``nu`` is Binomial(active count, pay_prob[k])
     and the cell amount is the sum of ``nu`` iid Gamma(shape, scale)
     severities.  That sum is drawn directly as one Gamma(nu * shape, scale)
-    variate, which is exact by Gamma additivity; all cell totals of a path
-    come from a single call with cells ordered ascending (i, j, k), so the
-    cost grows with the number of cells, not of payments.  Cells with zero
+    variate, which is exact by Gamma additivity; all cell totals come from a
+    single call with cells ordered ascending (world, i, j, k), so the cost
+    grows with the number of cells, not of payments.  Cells with zero
     severity variance pay exactly ``nu`` times the mean, without a draw.
 
-    With ``retain_severities`` the individual amounts are drawn afterwards
-    from :attr:`RandomStream.severity_generator`, conditional on the cell
-    totals (see :func:`_split_totals`), so the draws of the plain path and
-    hence every cell total are the same whether or not they are retained.
+    With ``retain_severities`` the individual amounts of the (last) world are
+    drawn afterwards from :attr:`RandomStream.severity_generator`,
+    conditional on the cell totals (see :func:`_split_totals`), so the draws
+    of the plain path and hence every cell total are the same whether or not
+    they are retained.
 
     Returns ``(pay_counts, PaymentTensor, severities)`` where ``severities``
     is None unless ``retain_severities`` is set.
     """
-    gen = stream.generator
-    pay_counts = gen.binomial(counts.counts, params.pay_prob[None, None, :])
+    kernel = params._kernel
+    gens = stream.generators
+    pay_counts = gens[BINOMIAL].binomial(counts.counts, params.pay_prob)
 
-    ew = np.broadcast_to(params.severity_mean[None, :, :], pay_counts.shape)
-    var = np.broadcast_to(params.severity_var[None, :, :], pay_counts.shape)
-    stochastic = var > 0.0
-
-    payments = np.where(stochastic, 0.0, pay_counts * ew)
-    drawn = stochastic & (pay_counts > 0)
-    shape, scale = gamma_shape_scale(ew[drawn], var[drawn])
-    payments[drawn] = gen.gamma(pay_counts[drawn] * shape, scale)
+    payments = pay_counts * kernel.fixed_mean
+    drawn = np.flatnonzero((pay_counts > 0) & kernel.stochastic)
+    jk = drawn % kernel.stochastic.size  # flat (world, i, j, k) index -> (j, k)
+    shape, scale = kernel.shape[jk], kernel.scale[jk]
+    del jk  # freed before the draw: a block's peak memory is set here
+    shape *= pay_counts.reshape(-1)[drawn]
+    payments.reshape(-1)[drawn] = gens[GAMMA].gamma(shape, scale)
+    _frozen(pay_counts)
+    _frozen(payments)
 
     severities = None
     if retain_severities:
-        severities = _split_totals(stream.severity_generator, params, pay_counts, payments)
+        world = (-1,) if pay_counts.ndim == 4 else ()
+        severities = _split_totals(stream.severity_generator, params, pay_counts[world], payments[world])
     return pay_counts, PaymentTensor(payments=payments), severities
 
 
@@ -345,13 +405,18 @@ def _split_totals(gen, params, pay_counts, payments):
 
 
 def simulate_path(
-    stream: RandomStream, params: ModelParams, retain_severities: bool = False
+    stream: RandomStream,
+    params: ModelParams,
+    retain_severities: bool = False,
+    *,
+    size: int | None = None,
 ) -> SimulationPath:
-    """Simulate one complete world; deterministic given (master_seed, stream_id).
+    """Simulate one complete world, or the first ``size`` worlds of the stream's block.
 
-    Assumes ``params`` passed :func:`validate_params`.
+    Deterministic given (master_seed, stream_id); a single world is the
+    block's first.  Assumes ``params`` passed :func:`validate_params`.
     """
-    count_tensor = simulate_counts(stream, params)
+    count_tensor = simulate_counts(stream, params, size)
     pay_counts, payment_tensor, severities = simulate_payments(
         stream, params, count_tensor, retain_severities=retain_severities
     )

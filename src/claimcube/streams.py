@@ -1,20 +1,27 @@
 """Reproducible random streams and the Gamma severity parameterization.
 
-Every Monte Carlo replicate owns one :class:`RandomStream`, addressed by
-``(master_seed, stream_id)``.  Identical pairs replay the identical draw
-sequence bit for bit; distinct stream ids give statistically independent
-substreams.  Derivation goes through :class:`numpy.random.SeedSequence`,
-which mixes the pair with a fixed hash, so replicate ``r`` is reproducible
-regardless of execution order or worker placement.
+Every block of Monte Carlo replicates owns one :class:`RandomStream`,
+addressed by ``(master_seed, stream_id)`` with the block number as stream id.
+A stream holds one generator per stage of the world kernel (Poisson column
+counts, last-active-year multinomial, payment-count binomial, cell-total
+Gamma), the generator of stage ``s`` derived from
+``SeedSequence([master_seed, stream_id], spawn_key=(s,))``.  Identical pairs
+replay the identical draws bit for bit; distinct stream ids give
+statistically independent substreams.  :class:`numpy.random.SeedSequence`
+mixes the pair with a fixed hash, so a block is reproducible regardless of
+execution order or worker placement.
 
-The simulator draws straight from :attr:`RandomStream.generator`.  Retained
-individual payment amounts come from :attr:`RandomStream.severity_generator`,
-a second generator derived from the same pair (``spawn_key=(0,)``) and built
-only when it is first used, so retaining them never changes the draws of
-:attr:`RandomStream.generator`.
-Severities are parameterized by (mean, variance); :func:`gamma_shape_scale`
-converts them to the Gamma shape and scale.  A zero variance is a point mass
-at the mean, which the simulator handles without a draw.
+Because every stage has its own generator and numpy consumes a vectorised
+call element by element in C order, the first ``n`` worlds of a block are
+the same whether the block is drawn with ``n`` worlds or more.
+
+Retained individual payment amounts come from
+:attr:`RandomStream.severity_generator`, a further generator of the same pair
+(spawn key ``SEVERITY``) built only when it is first used, so retaining them
+never changes a stage's draws.  Severities are parameterized by (mean,
+variance); :func:`gamma_shape_scale` converts them to the Gamma shape and
+scale.  A zero variance is a point mass at the mean, which the simulator
+handles without a draw.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from .errors import ParameterError
 
 __all__ = ["RandomStream", "gamma_shape_scale"]
 
+#: Spawn keys of a stream's generators: the kernel's four stages, in the order
+#: a world is drawn, then the retained severities.
+POISSON, MULTINOMIAL, BINOMIAL, GAMMA, SEVERITY = range(5)
+
 #: Tolerance on probability-vector normalization.
 PROB_TOL = 1e-9
 
@@ -35,16 +46,16 @@ _UINT64_MAX = 2**64 - 1
 
 @dataclass(eq=False)
 class RandomStream:
-    """One substream of a master-seeded random source.
+    """One substream of a master-seeded random source: a generator per stage.
 
-    A stream is single-consumer: draws advance its internal state.  Distinct
-    streams may be consumed concurrently from different workers; they share
-    no mutable state.
+    A stream is single-consumer: draws advance its generators' states.
+    Distinct streams may be consumed concurrently from different workers;
+    they share no mutable state.
     """
 
     master_seed: int
     stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False)
+    _gens: tuple = field(init=False, repr=False)
     _severity_gen: np.random.Generator | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -52,24 +63,30 @@ class RandomStream:
             value = getattr(self, name)
             if not (0 <= int(value) <= _UINT64_MAX):
                 raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-        seq = np.random.SeedSequence([int(self.master_seed), int(self.stream_id)])
-        self._gen = np.random.default_rng(seq)
+        self._gens = tuple(self._spawn(stage) for stage in (POISSON, MULTINOMIAL, BINOMIAL, GAMMA))
+
+    def _spawn(self, key: int) -> np.random.Generator:
+        seq = np.random.SeedSequence([int(self.master_seed), int(self.stream_id)], spawn_key=(key,))
+        return np.random.Generator(np.random.PCG64(seq))
+
+    @property
+    def generators(self) -> tuple[np.random.Generator, ...]:
+        """The four stage generators (PCG64), indexed by ``POISSON`` ... ``GAMMA``."""
+        return self._gens
 
     @property
     def generator(self) -> np.random.Generator:
-        """The underlying numpy generator (PCG64)."""
-        return self._gen
+        """The first stage generator (``POISSON``); a caller needing one generator uses it."""
+        return self._gens[POISSON]
 
     @property
     def severity_generator(self) -> np.random.Generator:
-        """A second generator of the same pair, for retained individual amounts.
+        """The generator of retained individual amounts (spawn key ``SEVERITY``).
 
-        Derived with ``spawn_key=(0,)``, so its draws are independent of
-        :attr:`generator` and never advance it.
+        Its draws are independent of the stage generators and never advance them.
         """
         if self._severity_gen is None:
-            seq = np.random.SeedSequence([int(self.master_seed), int(self.stream_id)], spawn_key=(0,))
-            self._severity_gen = np.random.default_rng(seq)
+            self._severity_gen = self._spawn(SEVERITY)
         return self._severity_gen
 
 

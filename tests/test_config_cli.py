@@ -10,6 +10,7 @@ import pytest
 
 from claimcube import (
     ParameterError,
+    block_replicates,
     calibrated_params,
     config_from_params,
     default_config,
@@ -186,6 +187,18 @@ def test_simulate_identical_across_worker_counts(tmp_path):
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out1), "--workers", "1").returncode == 0
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out4), "--workers", "4").returncode == 0
     assert read_all_outputs(out1) == read_all_outputs(out4)
+
+
+def test_simulate_records_the_block_size_and_is_identical_across_workers(tmp_path, capsys):
+    outputs = []
+    for workers in (1, 2, 4):
+        out = tmp_path / f"w{workers}"
+        argv = ["simulate", "--config", "default", "--replicates", "7", "--seed", "3", "--out", str(out)]
+        assert main(argv + ["--workers", str(workers)]) == 0
+        outputs.append(read_all_outputs(out))
+    assert outputs[0] == outputs[1] == outputs[2]
+    summary = json.loads(outputs[0]["summary.json"])
+    assert summary["block_replicates"] == block_replicates(load_config("default").params) == 3
 
 
 def test_seed_and_replicate_overrides(tmp_path):

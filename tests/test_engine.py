@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,12 +9,25 @@ import claimcube.engine
 from claimcube import (
     EmpiricalDistribution,
     ParameterError,
+    RandomStream,
     analytic_reserve_moments,
+    block_replicates,
     build_risk_report,
+    chain_ladder,
+    compare_2d_3d,
+    cumulate,
+    default_params,
     expected_shortfall,
+    replicate_path,
+    reserve_breakdown,
     run_monte_carlo,
+    simulate_path,
+    total_known_payments,
+    triangle_occurrence,
     value_at_risk,
 )
+from claimcube.aggregate import _world_statistics
+from claimcube.engine import SUPPORTED_STATISTICS
 
 
 def dist(values, name="stat"):
@@ -129,10 +144,10 @@ def test_workers_below_one_rejected(make_params, workers):
         run_monte_carlo(make_params(), 2, 1, workers=workers)
 
 
-def test_thread_pool_is_bounded_by_replicates_and_cpus(make_params, monkeypatch):
+def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
     sizes = []
 
-    class RecordingPool:  # runs the replicates in this thread; starts none
+    class RecordingPool:  # runs the blocks in this thread; starts none
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -146,11 +161,12 @@ def test_thread_pool_is_bounded_by_replicates_and_cpus(make_params, monkeypatch)
             return map(fn, items)
 
     monkeypatch.setattr(claimcube.engine, "ThreadPoolExecutor", RecordingPool)
-    params = make_params()
-    serial = run_monte_carlo(params, 3, master_seed=9)
+    params = default_params()
+    replicates = 2 * block_replicates(params) + 1  # three blocks, the last of one world
+    serial = run_monte_carlo(params, replicates, master_seed=9)
     for cpus in (8, 2, 1, None):
         monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda cpus=cpus: cpus)
-        pooled = run_monte_carlo(params, 3, master_seed=9, workers=10**6)
+        pooled = run_monte_carlo(params, replicates, master_seed=9, workers=10**6)
         assert all(np.array_equal(serial[n].samples, pooled[n].samples) for n in serial)
     assert sizes == [3, 2]  # one or an unknown number of CPUs runs serially
 
@@ -193,3 +209,126 @@ def test_risk_report_invariant(make_params):
     assert report.analytic_mean is not None
     assert report.analytic_std is not None
     assert report.replicate_count == 200
+
+
+# --- replicate blocks -------------------------------------------------------------
+
+
+def world_arrays(path):
+    return path.claims.counts, path.claims.pay_counts, path.payments.payments
+
+
+def per_replicate(params, replicates, seed, fn):
+    """``fn`` of every world the engine draws, in replicate order."""
+    return claimcube.engine._replicate_loop(
+        params, replicates, seed, lambda _, block: [fn(w) for w in claimcube.engine._worlds(block)]
+    )
+
+
+def block_sizes(params):
+    size = block_replicates(params)
+    return (1, size - 1, size, size + 1, 3 * size + 1)
+
+
+@pytest.mark.parametrize("params", ["default", "small"])
+def test_engine_worlds_are_replicate_paths(params, make_params):
+    params = default_params() if params == "default" else make_params(occurrence_years=700)
+    assert block_replicates(params) == (3 if params.occurrence_years == 15 else 7)
+    for replicates in block_sizes(params):
+        worlds = per_replicate(params, replicates, 31, world_arrays)
+        assert len(worlds) == replicates
+        for r, engine_world in enumerate(worlds):
+            for a, b in zip(engine_world, world_arrays(replicate_path(params, 31, r))):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_short_block_is_the_head_of_the_full_block():
+    params = default_params()
+    full = world_arrays(simulate_path(RandomStream(5, 2), params, size=7))
+    for size in (1, 3):
+        head = world_arrays(simulate_path(RandomStream(5, 2), params, size=size))
+        assert all(np.array_equal(h, f[:size]) for h, f in zip(head, full))
+    single = world_arrays(simulate_path(RandomStream(5, 2), params))
+    assert all(np.array_equal(s, f[0]) for s, f in zip(single, full))
+
+
+def reference_row(path):
+    b = reserve_breakdown(path)
+    return [
+        float(b.ibnr_count),
+        b.ibnr_reserve,
+        total_known_payments(path),
+        b.reported_reserve,
+        b.total_reserve,
+    ]
+
+
+@pytest.mark.parametrize("params", ["default", "make_params"])
+def test_block_statistics_equal_the_per_world_projections_bit_for_bit(params, make_params):
+    params = default_params() if params == "default" else make_params(occurrence_years=5, expected_counts=80.0)
+    names = SUPPORTED_STATISTICS
+    assert names == ("ibnr_count", "ibnr_reserve", "known_payments", "reported_reserve", "total_reserve")
+    replicates = 3 * block_replicates(params) + 1 if block_replicates(params) < 10 else 25
+    def block_rows(_, block):
+        stats = _world_statistics(block, names)
+        return list(zip(*(stats[name] for name in names)))
+
+    rows = claimcube.engine._replicate_loop(params, replicates, 17, block_rows)
+    expected = [reference_row(replicate_path(params, 17, r)) for r in range(replicates)]
+    assert np.array(rows).tobytes() == np.array(expected).tobytes()
+
+    dists = run_monte_carlo(params, replicates, 17, names)
+    for c, name in enumerate(names):
+        assert dists[name].samples.tobytes() == np.sort(np.array(expected)[:, c]).tobytes()
+
+    comparison = compare_2d_3d(params, replicates, 17)
+    for rec in comparison.records:
+        world = replicate_path(params, 17, rec.replicate)
+        assert rec.truth == getattr(reserve_breakdown(world), rec.target)
+        if rec.estimator == "chain_ladder_occurrence":
+            fit = chain_ladder(cumulate(triangle_occurrence(world)))
+            assert rec.estimate == fit.total_reserve_estimate
+
+
+def test_retained_replicate_inside_a_block_splits_its_own_totals():
+    params = default_params()
+    r = block_replicates(params) + 2  # the third world of block 1
+    plain = replicate_path(params, 8, r)
+    retained = replicate_path(params, 8, r, retain_severities=True)
+    assert retained.payments.payments.tobytes() == plain.payments.payments.tobytes()
+    totals = plain.payments.payments.sum(axis=0)
+    for (j, k), amounts in retained.severities.items():
+        assert amounts.size == plain.claims.pay_counts[:, j, k].sum()
+        assert math.fsum(amounts) == pytest.approx(totals[j, k], rel=1e-12)
+
+
+def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
+    # More threads than cores, switching every microsecond: a lost, repeated
+    # or misplaced block would change the per-replicate rows or the triangles.
+    params = default_params()
+    replicates = 8 * block_replicates(params) + 1  # nine blocks
+    names = SUPPORTED_STATISTICS
+
+    def block_rows(_, block):
+        stats = _world_statistics(block, names)
+        return list(zip(*(stats[name] for name in names)))
+
+    def run(workers):
+        rows = claimcube.engine._replicate_loop(params, replicates, 23, block_rows, workers=workers)
+        with claimcube.engine._replicate_zero_triangles() as triangles:
+            distributions = run_monte_carlo(params, replicates, 23, names, workers=workers)
+        return rows, [distributions[n].samples.tobytes() for n in names], [t.values.tobytes() for t in triangles]
+
+    serial = run(1)
+    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 8)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: results.extend(run(8) for _ in range(5)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert results == [serial] * 5

@@ -12,11 +12,14 @@ from claimcube import (
     ClaimTensor,
     EstimationError,
     ModelParams,
+    ParameterError,
     PaymentTensor,
     RandomStream,
     SimulationPath,
     Triangle,
     chain_ladder,
+    default_config,
+    parse_config,
     reserve_breakdown,
     simulate_counts,
     simulate_path,
@@ -249,3 +252,50 @@ def test_chain_ladder_equals_the_row_loop_bit_for_bit(cum):
         for a, b in zip(got[:3], want[:3]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+
+
+# --- configuration fuzz --------------------------------------------------------
+
+#: JSON values of every type.  Integers stay within 10**6 (an occurrence-year
+#: count under the world cap may be built as an array) apart from a few huge
+#: ones: past int64, past float range, and past numpy's array-size limit.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.sampled_from([2**31, -(2**63), 2**63, 2**64, 2**70, 10**400])
+    | st.floats()
+    | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def fuzzed_config(draw):
+    """The default configuration with random JSON values in random model and run keys."""
+    mapping = default_config()
+    keys = [("model", key) for key in mapping["model"]]
+    keys += [("run", key) for key in ("replicates", "master_seed", "statistics", "quantile_levels", "output_dir")]
+    for section, key in keys:
+        if draw(st.booleans()):
+            mapping[section][key] = draw(json_values)
+    if draw(st.booleans()):
+        mapping["model"]["expected_counts"] = draw(
+            st.fixed_dictionaries({"base": json_scalars, "growth": json_scalars})
+            | st.fixed_dictionaries({"values": json_values})
+        )
+    return mapping
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mapping=fuzzed_config())
+def test_config_fuzz_raises_only_parameter_errors(mapping):
+    try:
+        cfg = parse_config(mapping)
+    except ParameterError:
+        return
+    assert cfg.params.dims == (cfg.params.occurrence_years, cfg.params.max_lag, cfg.params.max_runoff + 1)
