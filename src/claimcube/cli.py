@@ -16,17 +16,11 @@ import sys
 import warnings
 from pathlib import Path
 
-from .aggregate import analytic_reserve_moments
+from .aggregate import analytic_reserve_moments, triangle_occurrence, triangle_reporting
 from .calibrate import calibrated_params
 from .chainladder import compare_2d_3d
 from .config import config_from_params, load_config, write_config
-from .engine import (
-    _replicate_zero_triangles,
-    block_replicates,
-    build_risk_report,
-    replicate_path,
-    run_monte_carlo,
-)
+from .engine import block_replicates, build_risk_report, replicate_path, run_monte_carlo
 from .errors import EstimationError, ParameterError
 from .model import validate_params
 
@@ -90,11 +84,9 @@ def _report_payload(report) -> dict:
 
 def _cmd_simulate(args) -> int:
     cfg = _run_config(args)
-    with _replicate_zero_triangles() as triangles:
-        distributions = run_monte_carlo(
-            cfg.params, cfg.replicates, cfg.master_seed, cfg.statistics, workers=args.workers
-        )
-    occurrence, reporting = triangles
+    distributions = run_monte_carlo(
+        cfg.params, cfg.replicates, cfg.master_seed, cfg.statistics, workers=args.workers
+    )
     moments = analytic_reserve_moments(cfg.params)
     out = _output_dir(cfg)
 
@@ -116,8 +108,9 @@ def _cmd_simulate(args) -> int:
 
     write_config(summary, out / "summary.json")
 
-    _write_triangle_csv(occurrence, out / "triangle_occurrence.csv")
-    _write_triangle_csv(reporting, out / "triangle_reporting.csv")
+    first_path = replicate_path(cfg.params, cfg.master_seed, 0)
+    _write_triangle_csv(triangle_occurrence(first_path), out / "triangle_occurrence.csv")
+    _write_triangle_csv(triangle_reporting(first_path), out / "triangle_reporting.csv")
 
     print(f"wrote {len(cfg.statistics)} distributions, summary.json and triangles to {out}")
     return 0

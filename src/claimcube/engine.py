@@ -21,15 +21,13 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import MomentPair, Triangle, _world_statistics, triangle_occurrence, triangle_reporting
+from .aggregate import MomentPair, _world_statistics
 from .errors import ParameterError
-from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path, validate_params
+from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, _shared, simulate_path, validate_params
 from .streams import RandomStream
 
 __all__ = [
@@ -166,8 +164,8 @@ def _world(block: SimulationPath, b: int, severities=None) -> SimulationPath:
     claims = block.claims
     return SimulationPath(
         params=block.params,
-        claims=ClaimTensor(claims.counts[b], claims.pay_counts[b]),
-        payments=PaymentTensor(block.payments.payments[b]),
+        claims=_shared(ClaimTensor, counts=claims.counts[b], pay_counts=claims.pay_counts[b]),
+        payments=_shared(PaymentTensor, payments=block.payments.payments[b]),
         severities=severities,
     )
 
@@ -197,10 +195,11 @@ def _replicate_loop(
 ) -> list:
     """Per-replicate results of ``per_block`` over all blocks, in replicate order.
 
-    ``per_block(first, block_path)`` returns one result per world of the
-    block whose first replicate is ``first``.  With ``workers > 1`` the blocks
-    run on a thread pool of at most ``workers``, block-count and CPU-count
-    threads.  Validates ``params``.
+    ``per_block(block_path)`` returns one result per world of the block,
+    in order.  With ``workers > 1`` (and more
+    than one CPU) the blocks run on pool threads, at most ``workers``,
+    block-count and CPU-count of them, also when the run is a single block;
+    the calling thread only collects.  Validates ``params``.
     """
     validate_params(params)
     if replicates < 1:
@@ -209,23 +208,18 @@ def _replicate_loop(
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
     size = block_replicates(params)
     starts = range(0, replicates, size)
-    threads = min(workers, len(starts), os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
 
     def one(first: int) -> list:
         stream = RandomStream(master_seed, first // size)
-        return per_block(first, simulate_path(stream, params, size=min(size, replicates - first)))
+        return per_block(simulate_path(stream, params, size=min(size, replicates - first)))
 
-    if threads == 1:
+    if workers == 1 or cpus == 1:
         blocks = [one(first) for first in starts]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts), cpus)) as pool:
             blocks = list(pool.map(one, starts))
     return [result for results in blocks for result in results]
-
-
-#: Set by :func:`_replicate_zero_triangles`: a list that receives the two
-#: triangles of replicate 0's world from :func:`run_monte_carlo`.
-_first_triangles: ContextVar[list | None] = ContextVar("first_triangles", default=None)
 
 
 def run_monte_carlo(
@@ -244,12 +238,8 @@ def run_monte_carlo(
     bad = [n for n in names if n not in SUPPORTED_STATISTICS]
     if bad:
         raise ParameterError(f"unknown statistics {bad}; supported: {list(SUPPORTED_STATISTICS)}")
-    sink = _first_triangles.get()
 
-    def rows(first: int, block: SimulationPath) -> list:
-        if first == 0 and sink is not None:
-            world = _world(block, 0)
-            sink.extend((triangle_occurrence(world), triangle_reporting(world)))
+    def rows(block: SimulationPath) -> list:
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
@@ -259,20 +249,3 @@ def run_monte_carlo(
         for c, name in enumerate(names)
     }
 
-
-@contextmanager
-def _replicate_zero_triangles():
-    """Collect the occurrence and reporting triangles of replicate 0 from
-    the :func:`run_monte_carlo` call made inside the ``with`` block.
-
-    ``simulate`` writes its triangles from the world its run drew instead
-    of drawing it a second time.  They travel through a context variable
-    rather than a parameter so that :func:`run_monte_carlo` keeps its public
-    signature and return value, and the command still calls it by name.
-    """
-    sink: list[Triangle] = []
-    token = _first_triangles.set(sink)
-    try:
-        yield sink
-    finally:
-        _first_triangles.reset(token)

@@ -74,12 +74,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    """``values`` itself when it is a read-only array of ``dtype`` (a kernel
-    tensor or a view of one), else a frozen copy."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
-        return values
-    return _frozen(np.array(values, dtype=dtype))
+def _shared(cls, **arrays):
+    """A :class:`ClaimTensor` or :class:`PaymentTensor` holding ``arrays``
+    as they are, without the frozen copy its constructor takes.
+
+    Only for arrays the kernel froze itself, or read-only views of them.
+    """
+    tensor = object.__new__(cls)
+    for name, arr in arrays.items():
+        object.__setattr__(tensor, name, arr)
+    return tensor
 
 
 class _Kernel(NamedTuple):
@@ -254,17 +258,17 @@ class ClaimTensor:
     """Active-claim counts, and payment counts once payments were simulated.
 
     ``counts[i-1, j, k]`` never increases along k; ``0 <= pay_counts <= counts``.
-    A block of worlds carries a leading world axis.  Read-only int64 arrays
-    are shared, anything else is copied.
+    A block of worlds carries a leading world axis.  The constructor keeps
+    frozen int64 copies of its arguments.
     """
 
     counts: np.ndarray
     pay_counts: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _read_only(self.counts, np.int64))
+        object.__setattr__(self, "counts", _frozen(np.array(self.counts, dtype=np.int64)))
         if self.pay_counts is not None:
-            object.__setattr__(self, "pay_counts", _read_only(self.pay_counts, np.int64))
+            object.__setattr__(self, "pay_counts", _frozen(np.array(self.pay_counts, dtype=np.int64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +278,7 @@ class PaymentTensor:
     payments: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "payments", _read_only(self.payments, np.float64))
+        object.__setattr__(self, "payments", _frozen(np.array(self.payments, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +313,7 @@ def simulate_counts(stream: RandomStream, params: ModelParams, size: int | None 
     counts = gens[MULTINOMIAL].multinomial(reported, kernel.last_active_probs)
     # Reverse cumulative sum over k, in place: last active year -> active counts.
     np.cumsum(counts[..., ::-1], axis=-1, out=counts[..., ::-1])
-    return ClaimTensor(counts=_frozen(counts))
+    return _shared(ClaimTensor, counts=_frozen(counts), pay_counts=None)
 
 
 def simulate_payments(
@@ -355,7 +359,7 @@ def simulate_payments(
     if retain_severities:
         world = (-1,) if pay_counts.ndim == 4 else ()
         severities = _split_totals(stream.severity_generator, params, pay_counts[world], payments[world])
-    return pay_counts, PaymentTensor(payments=payments), severities
+    return pay_counts, _shared(PaymentTensor, payments=payments), severities
 
 
 def _split_totals(gen, params, pay_counts, payments):
@@ -420,7 +424,7 @@ def simulate_path(
     pay_counts, payment_tensor, severities = simulate_payments(
         stream, params, count_tensor, retain_severities=retain_severities
     )
-    claims = ClaimTensor(counts=count_tensor.counts, pay_counts=pay_counts)
+    claims = _shared(ClaimTensor, counts=count_tensor.counts, pay_counts=pay_counts)
     return SimulationPath(
         params=params, claims=claims, payments=payment_tensor, severities=severities
     )

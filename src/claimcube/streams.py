@@ -75,11 +75,6 @@ class RandomStream:
         return self._gens
 
     @property
-    def generator(self) -> np.random.Generator:
-        """The first stage generator (``POISSON``); a caller needing one generator uses it."""
-        return self._gens[POISSON]
-
-    @property
     def severity_generator(self) -> np.random.Generator:
         """The generator of retained individual amounts (spawn key ``SEVERITY``).
 

@@ -169,6 +169,13 @@ def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
         pooled = run_monte_carlo(params, replicates, master_seed=9, workers=10**6)
         assert all(np.array_equal(serial[n].samples, pooled[n].samples) for n in serial)
     assert sizes == [3, 2]  # one or an unknown number of CPUs runs serially
+    # A single block still leaves the calling thread once workers > 1.
+    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 8)
+    one_block = block_replicates(params)
+    serial = run_monte_carlo(params, one_block, master_seed=9)
+    pooled = run_monte_carlo(params, one_block, master_seed=9, workers=2)
+    assert all(np.array_equal(serial[n].samples, pooled[n].samples) for n in serial)
+    assert sizes == [3, 2, 1]
 
 
 def test_unknown_statistic_rejected(make_params):
@@ -221,7 +228,7 @@ def world_arrays(path):
 def per_replicate(params, replicates, seed, fn):
     """``fn`` of every world the engine draws, in replicate order."""
     return claimcube.engine._replicate_loop(
-        params, replicates, seed, lambda _, block: [fn(w) for w in claimcube.engine._worlds(block)]
+        params, replicates, seed, lambda block: [fn(w) for w in claimcube.engine._worlds(block)]
     )
 
 
@@ -269,7 +276,7 @@ def test_block_statistics_equal_the_per_world_projections_bit_for_bit(params, ma
     names = SUPPORTED_STATISTICS
     assert names == ("ibnr_count", "ibnr_reserve", "known_payments", "reported_reserve", "total_reserve")
     replicates = 3 * block_replicates(params) + 1 if block_replicates(params) < 10 else 25
-    def block_rows(_, block):
+    def block_rows(block):
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
@@ -304,20 +311,19 @@ def test_retained_replicate_inside_a_block_splits_its_own_totals():
 
 def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
     # More threads than cores, switching every microsecond: a lost, repeated
-    # or misplaced block would change the per-replicate rows or the triangles.
+    # or misplaced block would change the per-replicate rows.
     params = default_params()
     replicates = 8 * block_replicates(params) + 1  # nine blocks
     names = SUPPORTED_STATISTICS
 
-    def block_rows(_, block):
+    def block_rows(block):
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
     def run(workers):
         rows = claimcube.engine._replicate_loop(params, replicates, 23, block_rows, workers=workers)
-        with claimcube.engine._replicate_zero_triangles() as triangles:
-            distributions = run_monte_carlo(params, replicates, 23, names, workers=workers)
-        return rows, [distributions[n].samples.tobytes() for n in names], [t.values.tobytes() for t in triangles]
+        distributions = run_monte_carlo(params, replicates, 23, names, workers=workers)
+        return rows, [distributions[n].samples.tobytes() for n in names]
 
     serial = run(1)
     monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 8)

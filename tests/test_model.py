@@ -9,6 +9,7 @@ from claimcube import (
     ClaimTensor,
     ModelParams,
     ParameterError,
+    PaymentTensor,
     RandomStream,
     default_params,
     make_expected_counts,
@@ -357,7 +358,7 @@ def test_retention_leaves_the_plain_stream_where_a_plain_path_does(make_params):
     plain, retained = RandomStream(16, 0), RandomStream(16, 0)
     simulate_path(plain, params)
     simulate_path(retained, params, retain_severities=True)
-    assert plain.generator.bit_generator.state == retained.generator.bit_generator.state
+    assert [g.bit_generator.state for g in plain.generators] == [g.bit_generator.state for g in retained.generators]
 
 
 def test_tiny_shape_retained_amounts_stay_finite_and_reconcile(make_params):
@@ -387,3 +388,18 @@ def test_million_claims_per_year_world_runs_in_bounded_memory():
         tracemalloc.stop()
     assert path.claims.pay_counts.sum() > 10**7
     assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
+def test_tensors_keep_their_own_frozen_copy():
+    # Read-only views of writeable arrays: mutating the base afterwards must
+    # not reach the tensors.
+    counts = np.zeros((2, 2, 3), dtype=np.int64)
+    amounts = np.zeros((2, 2, 3))
+    frozen_view = amounts.view()
+    frozen_view.flags.writeable = False
+    claims = ClaimTensor(np.broadcast_to(counts, counts.shape), np.broadcast_to(counts, counts.shape))
+    payments = PaymentTensor(frozen_view)
+    counts += 5
+    amounts += 5.0
+    for arr in (claims.counts, claims.pay_counts, payments.payments):
+        assert not arr.any() and not arr.flags.writeable

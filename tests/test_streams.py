@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from claimcube import ParameterError, RandomStream, gamma_shape_scale
+from claimcube.streams import POISSON
 
 
 def draw_sequence(stream):
-    gen = stream.generator
+    gen = stream.generators[POISSON]
     return [
         int(gen.poisson(5.0)),
         int(gen.binomial(20, 0.3)),
@@ -21,7 +22,7 @@ def test_identical_streams_replay_identical_sequences():
 
 
 def test_distinct_stream_ids_differ():
-    draws = {tuple(RandomStream(123, sid).generator.integers(0, 2**32, 4)) for sid in range(8)}
+    draws = {tuple(RandomStream(123, sid).generators[POISSON].integers(0, 2**32, 4)) for sid in range(8)}
     assert len(draws) == 8
 
 
@@ -37,7 +38,7 @@ def test_poisson_moments_match_law_of_large_numbers():
     # sample variance within 5*sqrt(2*mean^2/n) (Poisson variance = mean)
     stream = RandomStream(2024)
     n, mean = 100_000, 150.0
-    draws = stream.generator.poisson(mean, size=n)
+    draws = stream.generators[POISSON].poisson(mean, size=n)
     assert abs(draws.mean() - mean) < 3 * math.sqrt(mean / n)
     assert abs(draws.var(ddof=1) - mean) < 5 * math.sqrt(2 * mean**2 / n)
 
@@ -52,7 +53,7 @@ def test_gamma_mean_variance_round_trip(mean, var):
     # Gamma fourth moment, mu4 = var^2 * (3 + 6/shape)
     shape, scale = gamma_shape_scale(mean, var)
     n = 1_000_000
-    draws = RandomStream(13).generator.gamma(shape, scale, size=n)
+    draws = RandomStream(13).generators[POISSON].gamma(shape, scale, size=n)
     assert abs(draws.mean() - mean) < 4 * math.sqrt(var / n)
     se_var = var * math.sqrt((2 + 6 / shape) / n)
     assert abs(draws.var(ddof=1) - var) < 4 * se_var
