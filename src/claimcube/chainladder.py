@@ -180,7 +180,7 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Com
     sweep.
     """
     scored = _replicate_loop(
-        params, replicates, master_seed, lambda block: [_score_replicate(w) for w in _worlds(block)]
+        params, replicates, master_seed, lambda _, block: [_score_replicate(w) for w in _worlds(block)]
     )
     analytic = (analytic_reserve_moments(params)["total_reserve"].mean, "")
     records = []

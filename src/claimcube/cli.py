@@ -108,7 +108,7 @@ def _cmd_simulate(args) -> int:
 
     write_config(summary, out / "summary.json")
 
-    first_path = replicate_path(cfg.params, cfg.master_seed, 0)
+    first_path = distributions.first_world
     _write_triangle_csv(triangle_occurrence(first_path), out / "triangle_occurrence.csv")
     _write_triangle_csv(triangle_reporting(first_path), out / "triangle_reporting.csv")
 

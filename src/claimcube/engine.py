@@ -36,6 +36,7 @@ __all__ = [
     "DEFAULT_STATISTICS",
     "SUPPORTED_STATISTICS",
     "EmpiricalDistribution",
+    "MonteCarloRun",
     "RiskReport",
     "block_replicates",
     "build_risk_report",
@@ -195,8 +196,8 @@ def _replicate_loop(
 ) -> list:
     """Per-replicate results of ``per_block`` over all blocks, in replicate order.
 
-    ``per_block(block_path)`` returns one result per world of the block,
-    in order.  With ``workers > 1`` (and more
+    ``per_block(first, block_path)`` returns one result per world of the
+    block whose first replicate is ``first``.  With ``workers > 1`` (and more
     than one CPU) the blocks run on pool threads, at most ``workers``,
     block-count and CPU-count of them, also when the run is a single block;
     the calling thread only collects.  Validates ``params``.
@@ -212,7 +213,7 @@ def _replicate_loop(
 
     def one(first: int) -> list:
         stream = RandomStream(master_seed, first // size)
-        return per_block(simulate_path(stream, params, size=min(size, replicates - first)))
+        return per_block(first, simulate_path(stream, params, size=min(size, replicates - first)))
 
     if workers == 1 or cpus == 1:
         blocks = [one(first) for first in starts]
@@ -222,6 +223,13 @@ def _replicate_loop(
     return [result for results in blocks for result in results]
 
 
+class MonteCarloRun(dict):
+    """The distributions of a :func:`run_monte_carlo` run, keyed by statistic
+    name, and ``first_world``, the world of replicate 0 as the run drew it."""
+
+    first_world: SimulationPath
+
+
 def run_monte_carlo(
     params: ModelParams,
     replicates: int,
@@ -229,23 +237,30 @@ def run_monte_carlo(
     statistics=DEFAULT_STATISTICS,
     *,
     workers: int = 1,
-) -> dict[str, EmpiricalDistribution]:
+) -> MonteCarloRun:
     """Run independent replicates and collect per-replicate reserve statistics.
 
     Supported statistic names are those in :data:`SUPPORTED_STATISTICS`.
+    The result also holds replicate 0's world, equal to :func:`replicate_path`
+    of replicate 0, so that ``simulate`` does not draw it a second time.
     """
     names = tuple(statistics)
     bad = [n for n in names if n not in SUPPORTED_STATISTICS]
     if bad:
         raise ParameterError(f"unknown statistics {bad}; supported: {list(SUPPORTED_STATISTICS)}")
 
-    def rows(block: SimulationPath) -> list:
+    first_world = []  # filled by the task of block 0 alone
+
+    def rows(first: int, block: SimulationPath) -> list:
+        if first == 0:
+            first_world.append(_world(block, 0))
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
     values = np.array(_replicate_loop(params, replicates, master_seed, rows, workers=workers), dtype=float)
-    return {
-        name: EmpiricalDistribution(values[:, c], statistic_name=name)
-        for c, name in enumerate(names)
-    }
+    run = MonteCarloRun(
+        (name, EmpiricalDistribution(values[:, c], statistic_name=name)) for c, name in enumerate(names)
+    )
+    run.first_world = first_world[0]
+    return run
 

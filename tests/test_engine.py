@@ -228,7 +228,7 @@ def world_arrays(path):
 def per_replicate(params, replicates, seed, fn):
     """``fn`` of every world the engine draws, in replicate order."""
     return claimcube.engine._replicate_loop(
-        params, replicates, seed, lambda block: [fn(w) for w in claimcube.engine._worlds(block)]
+        params, replicates, seed, lambda _, block: [fn(w) for w in claimcube.engine._worlds(block)]
     )
 
 
@@ -276,7 +276,7 @@ def test_block_statistics_equal_the_per_world_projections_bit_for_bit(params, ma
     names = SUPPORTED_STATISTICS
     assert names == ("ibnr_count", "ibnr_reserve", "known_payments", "reported_reserve", "total_reserve")
     replicates = 3 * block_replicates(params) + 1 if block_replicates(params) < 10 else 25
-    def block_rows(block):
+    def block_rows(_, block):
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
@@ -316,7 +316,7 @@ def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
     replicates = 8 * block_replicates(params) + 1  # nine blocks
     names = SUPPORTED_STATISTICS
 
-    def block_rows(block):
+    def block_rows(_, block):
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
@@ -338,3 +338,12 @@ def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
     assert results == [serial] * 5
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_holds_the_world_of_replicate_zero(workers, monkeypatch):
+    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 2)
+    params = default_params()
+    run = run_monte_carlo(params, 2 * block_replicates(params) + 1, 12, workers=workers)
+    for a, b in zip(world_arrays(run.first_world), world_arrays(replicate_path(params, 12, 0))):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
