@@ -40,6 +40,7 @@ from .engine import (
     BLOCK_CELLS,
     DEFAULT_STATISTICS,
     EmpiricalDistribution,
+    MonteCarloRun,
     RiskReport,
     block_replicates,
     build_risk_report,
@@ -78,6 +79,7 @@ __all__ = [
     "EstimatorSummary",
     "ModelParams",
     "MomentPair",
+    "MonteCarloRun",
     "ParameterError",
     "PaymentTensor",
     "RandomStream",

@@ -252,8 +252,15 @@ def run_monte_carlo(
     first_world = []  # filled by the task of block 0 alone
 
     def rows(first: int, block: SimulationPath) -> list:
-        if first == 0:
-            first_world.append(_world(block, 0))
+        if first == 0:  # copied, so that the run does not hold all of block 0
+            claims = block.claims
+            first_world.append(
+                SimulationPath(
+                    params,
+                    ClaimTensor(claims.counts[0], claims.pay_counts[0]),
+                    PaymentTensor(block.payments.payments[0]),
+                )
+            )
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 

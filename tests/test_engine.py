@@ -311,7 +311,7 @@ def test_retained_replicate_inside_a_block_splits_its_own_totals():
 
 def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
     # More threads than cores, switching every microsecond: a lost, repeated
-    # or misplaced block would change the per-replicate rows.
+    # or misplaced block would change the per-replicate rows or replicate 0's world.
     params = default_params()
     replicates = 8 * block_replicates(params) + 1  # nine blocks
     names = SUPPORTED_STATISTICS
@@ -323,7 +323,8 @@ def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
     def run(workers):
         rows = claimcube.engine._replicate_loop(params, replicates, 23, block_rows, workers=workers)
         distributions = run_monte_carlo(params, replicates, 23, names, workers=workers)
-        return rows, [distributions[n].samples.tobytes() for n in names]
+        first = [a.tobytes() for a in world_arrays(distributions.first_world)]
+        return rows, [distributions[n].samples.tobytes() for n in names], first
 
     serial = run(1)
     monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 8)
