@@ -15,6 +15,13 @@ report the bit-identical total.  The exact sums skip the zero cells, which
 are +0.0 and cannot change an exactly rounded sum; most cells of a world are
 zero.  Cell values use a fixed ascending (i, j, k) accumulation order for
 reproducibility.
+
+The triangles and :func:`reserve_breakdown` also take a block path, whose
+tensors carry a leading world axis ``(W, I, J, K+1)``.  They then return one
+value per world: a triangle stack of shape ``(W, I, I)`` whose members share
+one known region, and per-world tuples of reserves and totals.  Each world's
+result is bit-identical to the one its own single-world path gives.
+:func:`total_known_payments` and :func:`mean_claim_size` take one world only.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, SimulationPath
+from .model import ModelParams, SimulationPath, _is_block, _require_world
 
 __all__ = [
     "MomentPair",
@@ -48,13 +55,16 @@ def _exact_sum(values: np.ndarray) -> float:
 
 class _Cells(NamedTuple):
     """Flat indices, ascending over one world's raveled (i, j, k) cells, of
-    the three cell classes at horizon I, and the (i, j, k) of the known cells."""
+    the three cell classes at horizon I, and where the known cells fall in
+    each triangle."""
 
     known: np.ndarray
     ibnr: np.ndarray
     reported_future: np.ndarray
     ibnr_cols: np.ndarray  # the k = 0 cell of each IBNR (i, j) column
-    known_ijk: tuple[np.ndarray, np.ndarray, np.ndarray]
+    occurrence_bins: np.ndarray  # flat (I, I) triangle cell of each known cell: (i-1, j+k)
+    reporting_bins: np.ndarray  # the same for (i+j-1, k)
+    unknown: np.ndarray  # (I, I) mask of the triangle cells past the horizon
 
 
 @lru_cache(maxsize=64)
@@ -66,33 +76,41 @@ def _classification(n_i: int, n_j: int, n_k: int) -> _Cells:
     age = i + j + k
     known = age <= n_i
     ibnr = np.broadcast_to(i + j > n_i, known.shape)
+    ii, jj, kk = np.nonzero(known)
     cells = _Cells(
         known=np.flatnonzero(known),
         ibnr=np.flatnonzero(ibnr),
         reported_future=np.flatnonzero(~ibnr & (age > n_i)),
         ibnr_cols=np.flatnonzero(ibnr & (k == 0)),
-        known_ijk=np.nonzero(known),
+        occurrence_bins=ii * n_i + (jj + kk),
+        reporting_bins=(ii + jj) * n_i + kk,
+        unknown=np.add.outer(np.arange(n_i), np.arange(n_i)) > n_i - 1,
     )
-    for arr in (*cells[:4], *cells.known_ijk):
+    for arr in cells:
         arr.flags.writeable = False
     return cells
 
 
 @dataclass(frozen=True, eq=False)
 class Triangle:
-    """A 2-D run-off matrix with the unknown region marked NaN, not zero.
+    """A 2-D run-off matrix with the unknown region marked NaN, not zero, or
+    a stack of them.
 
     ``values[m-1, n]`` is populated iff ``m + n <= horizon`` (1-based row m,
     0-based development column n).  ``known_total`` is the exactly rounded
     sum of all payments behind the triangle; both projections of one world
     carry the identical value.
+
+    A stack (the projection of a block path) carries a leading world axis:
+    ``values[w]`` is world ``w``'s triangle and ``known_total`` a tuple with
+    one total per world.  All members of a stack share one known region.
     """
 
     values: np.ndarray
     orientation: str  # "occurrence" | "reporting"
     form: str  # "incremental" | "cumulative"
     horizon: int
-    known_total: float | None = None
+    known_total: float | tuple[float, ...] | None = None
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -102,45 +120,48 @@ class Triangle:
 
 @dataclass(frozen=True)
 class ReserveBreakdown:
-    """Reserve split of one simulated world.
+    """Reserve split of one simulated world, or of each world of a block.
 
     ``total_reserve`` is defined as ``ibnr_reserve + reported_reserve`` (one
-    addition), so the decomposition holds exactly.
+    addition), so the decomposition holds exactly.  For a block path every
+    field is a tuple with one value per world, in world order.
     """
 
-    ibnr_count: int
-    ibnr_reserve: float
-    reported_reserve: float
-    total_reserve: float
+    ibnr_count: int | tuple[int, ...]
+    ibnr_reserve: float | tuple[float, ...]
+    reported_reserve: float | tuple[float, ...]
+    total_reserve: float | tuple[float, ...]
 
 
-def _project(payments: np.ndarray, rows: np.ndarray, cols: np.ndarray, known: np.ndarray, horizon: int):
-    weights = payments.reshape(-1).take(known)
-    flat = rows * horizon + cols
-    cells = np.bincount(flat, weights=weights, minlength=horizon * horizon)
-    values = cells.reshape(horizon, horizon)
-    r = np.arange(horizon)[:, None]
-    n = np.arange(horizon)[None, :]
-    values[r + n > horizon - 1] = np.nan
-    return values, _exact_sum(weights)
+def _project(path: SimulationPath, orientation: str) -> Triangle:
+    """The incremental ``orientation`` triangle of a world, or the stack of a block's.
+
+    One ``np.bincount`` over all worlds: world ``w``'s known cells go to bins
+    offset by ``w * I * I``, each bin summed in ascending (i, j, k) order.
+    """
+    n_i = path.params.occurrence_years
+    cells = _classification(*path.params.dims)
+    bins = cells.occurrence_bins if orientation == "occurrence" else cells.reporting_bins
+    weights = path.payments.payments.reshape(-1, math.prod(path.params.dims)).take(cells.known, axis=1)
+    worlds, size = len(weights), n_i * n_i
+    flat = (bins + size * np.arange(worlds)[:, None]).reshape(-1)
+    values = np.bincount(flat, weights=weights.reshape(-1), minlength=worlds * size)
+    values = values.reshape(worlds, n_i, n_i)
+    values[:, cells.unknown] = np.nan
+    totals = tuple(_exact_sum(row) for row in weights)
+    if not _is_block(path):
+        values, totals = values[0], totals[0]
+    return Triangle(values, orientation, "incremental", n_i, totals)
 
 
 def triangle_occurrence(path: SimulationPath) -> Triangle:
     """Incremental triangle of known payments: occurrence year vs j+k."""
-    n_i = path.params.occurrence_years
-    cells = _classification(*path.params.dims)
-    ii, jj, kk = cells.known_ijk
-    values, total = _project(path.payments.payments, ii, jj + kk, cells.known, n_i)
-    return Triangle(values, "occurrence", "incremental", n_i, total)
+    return _project(path, "occurrence")
 
 
 def triangle_reporting(path: SimulationPath) -> Triangle:
     """Incremental triangle of known payments: reporting year (i+j) vs k."""
-    n_i = path.params.occurrence_years
-    cells = _classification(*path.params.dims)
-    ii, jj, kk = cells.known_ijk
-    values, total = _project(path.payments.payments, ii + jj, kk, cells.known, n_i)
-    return Triangle(values, "reporting", "incremental", n_i, total)
+    return _project(path, "reporting")
 
 
 def _world_statistics(path: SimulationPath, names) -> dict[str, list]:
@@ -172,13 +193,19 @@ def _world_statistics(path: SimulationPath, names) -> dict[str, list]:
 
 
 def total_known_payments(path: SimulationPath) -> float:
-    """Exactly rounded sum of all payments in the known region."""
+    """Exactly rounded sum of all payments in the known region of one world."""
+    _require_world(path, "total_known_payments")
     return _world_statistics(path, ("known_payments",))["known_payments"][0]
 
 
 def reserve_breakdown(path: SimulationPath) -> ReserveBreakdown:
-    """Classify every future payment into the IBNR or reported reserve."""
+    """Classify every future payment into the IBNR or reported reserve.
+
+    For a block path, each field holds one value per world.
+    """
     stats = _world_statistics(path, ("ibnr_count", "total_reserve"))
+    if _is_block(path):
+        return ReserveBreakdown(**{name: tuple(values) for name, values in stats.items()})
     return ReserveBreakdown(**{name: values[0] for name, values in stats.items()})
 
 
@@ -189,6 +216,7 @@ def mean_claim_size(path: SimulationPath) -> np.ndarray:
     lag j (over all occurrence years) divided by the number of claims active
     at (j, k).  Cells with no active claims are NaN (absent), not zero.
     """
+    _require_world(path, "mean_claim_size")
     z_by_jk = path.payments.payments.sum(axis=0)
     remaining = np.cumsum(z_by_jk[:, ::-1], axis=1)[:, ::-1]
     active = path.claims.counts.sum(axis=0)

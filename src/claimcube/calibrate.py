@@ -5,7 +5,8 @@ tensors, and none of them feeds into another: lag probabilities come from
 the reporting slice, survival from column totals along the run-off axis,
 payment probabilities from payment vs. active counts, and severities from
 the retained individual payments.  Together they close the loop
-simulate -> estimate -> re-simulate.
+simulate -> estimate -> re-simulate.  They take one world: a block path is a
+:class:`~claimcube.errors.ParameterError` naming the function.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EstimationError
-from .model import ModelParams, SimulationPath
+from .model import ModelParams, SimulationPath, _require_world
 
 __all__ = [
     "calibrated_params",
@@ -26,6 +27,7 @@ __all__ = [
 
 def estimate_lag_probs(path: SimulationPath) -> np.ndarray:
     """Share of reported claims per lag: sum_i N_ij0 / sum_ij N_ij0."""
+    _require_world(path, "estimate_lag_probs")
     per_lag = path.claims.counts[:, :, 0].sum(axis=0)
     total = per_lag.sum()
     if total == 0:
@@ -35,6 +37,7 @@ def estimate_lag_probs(path: SimulationPath) -> np.ndarray:
 
 def estimate_survival(path: SimulationPath) -> np.ndarray:
     """Cumulative survival curve: sum_ij N_ijk / sum_ij N_ij0 (index 0 is 1)."""
+    _require_world(path, "estimate_survival")
     per_k = path.claims.counts.sum(axis=(0, 1))
     if per_k[0] == 0:
         raise EstimationError("cannot estimate survival: no reported claims")
@@ -46,6 +49,7 @@ def estimate_pay_prob(path: SimulationPath) -> np.ndarray:
 
     Years with no active claims are NaN (absent), not zero.
     """
+    _require_world(path, "estimate_pay_prob")
     if path.claims.pay_counts is None:
         raise EstimationError("path has no payment counts; simulate payments first")
     paid = path.claims.pay_counts.sum(axis=(0, 1)).astype(float)
@@ -61,6 +65,7 @@ def estimate_severity(path: SimulationPath) -> tuple[np.ndarray, np.ndarray]:
     uses the (n-1) denominator; cells without payments are NaN in both
     outputs, cells with a single payment have a NaN variance.
     """
+    _require_world(path, "estimate_severity")
     if path.severities is None:
         raise EstimationError(
             "path has no retained payments; simulate with retain_severities=True"
@@ -83,6 +88,7 @@ def calibrated_params(path: SimulationPath, fallback: ModelParams) -> ModelParam
     Expected ultimate counts have no estimator here and are carried over
     from ``fallback`` unchanged.
     """
+    _require_world(path, "calibrated_params")
     pay_prob = estimate_pay_prob(path)
     mean, var = estimate_severity(path)
     return ModelParams(

@@ -171,11 +171,6 @@ def _world(block: SimulationPath, b: int, severities=None) -> SimulationPath:
     )
 
 
-def _worlds(block: SimulationPath) -> list[SimulationPath]:
-    """Every world of a block path, in replicate order."""
-    return [_world(block, b) for b in range(len(block.payments.payments))]
-
-
 def replicate_path(
     params: ModelParams, master_seed: int, replicate: int, *, retain_severities: bool = False
 ) -> SimulationPath:

@@ -298,6 +298,19 @@ class SimulationPath:
     severities: dict[tuple[int, int], np.ndarray] | None = None
 
 
+def _is_block(path: SimulationPath) -> bool:
+    """Whether ``path`` is a block of worlds (its tensors have a world axis)."""
+    return path.claims.counts.ndim == 4
+
+
+def _require_world(path: SimulationPath, function: str) -> None:
+    """Raise a :class:`ParameterError` naming ``function`` if ``path`` is a block."""
+    if _is_block(path):
+        raise ParameterError(
+            f"{function} takes one world, got a block of {len(path.claims.counts)} worlds"
+        )
+
+
 def simulate_counts(stream: RandomStream, params: ModelParams, size: int | None = None) -> ClaimTensor:
     """Draw the active-claim counts of one world, or of a block of ``size`` worlds.
 

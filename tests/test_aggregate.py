@@ -6,6 +6,7 @@ import pytest
 from claimcube import (
     ClaimTensor,
     ModelParams,
+    ParameterError,
     PaymentTensor,
     RandomStream,
     SimulationPath,
@@ -219,6 +220,13 @@ def test_mean_claim_size_matches_double_sum_oracle(make_params):
                 assert math.isnan(mcs[j, k])
             else:
                 assert mcs[j, k] == pytest.approx(numer / denom, rel=1e-12)
+
+
+@pytest.mark.parametrize("function", [mean_claim_size, total_known_payments], ids=lambda f: f.__name__)
+def test_one_world_functions_reject_a_block(make_params, function):
+    block = simulate_path(RandomStream(59, 0), make_params(), size=3)
+    with pytest.raises(ParameterError, match=f"^{function.__name__} takes one world, got a block of 3 worlds$"):
+        function(block)
 
 
 # --- analytic moments -----------------------------------------------------------

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import claimcube
 from claimcube import (
     ClaimTensor,
     EstimationError,
     ModelParams,
+    ParameterError,
     PaymentTensor,
     RandomStream,
     SimulationPath,
@@ -222,3 +224,14 @@ def test_calibrated_params_revalidate(make_params):
     estimated = calibrated_params(path, fallback=source)
     assert validate_params(estimated) is estimated
     assert np.array_equal(estimated.expected_counts, source.expected_counts)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["estimate_lag_probs", "estimate_survival", "estimate_pay_prob", "estimate_severity", "calibrated_params"],
+)
+def test_estimators_reject_a_block_and_name_themselves(make_params, name):
+    block = simulate_path(RandomStream(58, 0), make_params(), retain_severities=True, size=3)
+    fallback = (block.params,) if name == "calibrated_params" else ()
+    with pytest.raises(ParameterError, match=f"^{name} takes one world, got a block of 3 worlds$"):
+        getattr(claimcube, name)(block, *fallback)

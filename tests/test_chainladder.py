@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,17 @@ from claimcube import (
     ModelParams,
     ParameterError,
     Triangle,
+    block_replicates,
     chain_ladder,
     compare_2d_3d,
     cumulate,
+    replicate_path,
+    reserve_breakdown,
+    triangle_occurrence,
+    triangle_reporting,
     validate_params,
 )
+from claimcube.presets import default_params
 
 
 def incremental(values, horizon=None):
@@ -123,6 +130,30 @@ def test_chain_ladder_exact_on_multiplicative_triangles():
         assert result.total_reserve_estimate == pytest.approx(expected_total, rel=1e-10)
 
 
+def test_stack_raises_the_error_of_its_failing_member():
+    good = [[100.0, 150.0], [120.0, nan]]
+    zero = [[0.0, 5.0], [0.0, nan]]
+    with pytest.raises(EstimationError, match="^cannot estimate development factor for column 0: zero cumulative volume$"):
+        chain_ladder(cumulative(zero))
+    with pytest.raises(EstimationError, match="^cannot estimate development factor for column 0: zero cumulative volume$"):
+        chain_ladder(cumulative([good, zero], horizon=2))
+
+
+def test_stack_members_must_share_one_known_region():
+    stack = [[[100.0, 150.0], [120.0, nan]], [[100.0, nan], [120.0, nan]]]
+    with pytest.raises(ParameterError, match="share one known region"):
+        chain_ladder(cumulative(stack, horizon=2))
+
+
+def test_stack_fit_carries_the_world_axis():
+    stack = cumulative([[[100.0, 150.0], [120.0, nan]], [[10.0, 30.0], [20.0, nan]]], horizon=2)
+    result = chain_ladder(stack)
+    assert result.development_factors.shape == (2, 1)
+    assert result.completed.shape == (2, 2, 2)
+    assert result.reserve_per_row.shape == (2, 2)
+    assert result.total_reserve_estimate.tolist() == [60.0, 40.0]
+
+
 # --- 2D vs 3D comparison -----------------------------------------------------------
 
 
@@ -207,3 +238,47 @@ def test_stationary_portfolio_comparison_is_sane():
     se = errors.std(ddof=1) / math.sqrt(reps)
     bias = comparison.summary["chain_ladder_reporting"].bias
     assert abs(bias) < max(0.1 * truths.mean(), 4 * se)
+
+
+def per_world_scores(params, replicates, master_seed):
+    """The per-world scoring loop that block scoring replaced: each replicate's
+    world drawn alone and fitted alone, as ``(truths, estimates)`` pairs."""
+    scores = []
+    for r in range(replicates):
+        path = replicate_path(params, master_seed, r)
+        breakdown = reserve_breakdown(path)
+        truths = {"total_reserve": breakdown.total_reserve, "reported_reserve": breakdown.reported_reserve}
+        estimates = {}
+        for name, project in (
+            ("chain_ladder_occurrence", triangle_occurrence),
+            ("chain_ladder_reporting", triangle_reporting),
+        ):
+            try:
+                estimates[name] = (chain_ladder(cumulate(project(path))).total_reserve_estimate, "")
+            except EstimationError as exc:
+                estimates[name] = (math.nan, str(exc))
+        scores.append((truths, estimates))
+    return scores
+
+
+def test_mixed_failures_in_a_block_match_the_per_world_loop():
+    # a sparse default portfolio: Chain-Ladder fails on some worlds of most
+    # blocks, each at its own column, and succeeds on the rest
+    params = validate_params(dataclasses.replace(default_params(), expected_counts=4.0))
+    size, replicates = block_replicates(params), 30
+    comparison = compare_2d_3d(params, replicates, master_seed=46)
+    expected = per_world_scores(params, replicates, master_seed=46)
+
+    for name in ("chain_ladder_occurrence", "chain_ladder_reporting"):
+        records = [rec for rec in comparison.records if rec.estimator == name]
+        assert [rec.replicate for rec in records] == list(range(replicates))
+        failed = [bool(rec.note) for rec in records]
+        mixed = [0 < sum(failed[b : b + size]) < len(failed[b : b + size]) for b in range(0, replicates, size)]
+        assert any(mixed)
+        for rec, (truths, estimates) in zip(records, expected):
+            estimate, note = estimates[name]
+            assert np.float64(rec.estimate).tobytes() == np.float64(estimate).tobytes()
+            assert rec.note == note
+            assert rec.truth == truths[rec.target]
+        assert comparison.summary[name].replicates_failed == sum(failed)
+        assert sum(failed) == sum(bool(estimates[name][1]) for _, estimates in expected)

@@ -182,11 +182,17 @@ def test_simulate_writes_expected_files_and_is_deterministic(tmp_path):
 
 
 def test_simulate_identical_across_worker_counts(tmp_path):
-    cfg = small_config(tmp_path, replicates=16)
+    # 4 * B + 1 replicates: five blocks, so --workers 4 has several blocks in flight
+    size = block_replicates(load_config(small_config(tmp_path)).params)
+    cfg = small_config(tmp_path, replicates=4 * size + 1)
     out1, out4 = tmp_path / "w1", tmp_path / "w4"
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out1), "--workers", "1").returncode == 0
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out4), "--workers", "4").returncode == 0
-    assert read_all_outputs(out1) == read_all_outputs(out4)
+    outputs = read_all_outputs(out1)
+    assert outputs == read_all_outputs(out4)
+    summary = json.loads(outputs["summary.json"])
+    assert summary["block_replicates"] == size
+    assert summary["replicates"] > 4 * summary["block_replicates"]
 
 
 def test_simulate_records_the_block_size_and_is_identical_across_workers(tmp_path, capsys):

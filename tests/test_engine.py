@@ -227,9 +227,10 @@ def world_arrays(path):
 
 def per_replicate(params, replicates, seed, fn):
     """``fn`` of every world the engine draws, in replicate order."""
-    return claimcube.engine._replicate_loop(
-        params, replicates, seed, lambda _, block: [fn(w) for w in claimcube.engine._worlds(block)]
-    )
+    def per_block(_, block):
+        return [fn(claimcube.engine._world(block, b)) for b in range(len(block.payments.payments))]
+
+    return claimcube.engine._replicate_loop(params, replicates, seed, per_block)
 
 
 def block_sizes(params):

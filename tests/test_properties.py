@@ -18,6 +18,7 @@ from claimcube import (
     SimulationPath,
     Triangle,
     chain_ladder,
+    cumulate,
     default_config,
     parse_config,
     reserve_breakdown,
@@ -177,6 +178,41 @@ def test_triangles_partition_the_known_payments_exactly(path):
         assert tri.values.tobytes() == expected.tobytes()
 
 
+@st.composite
+def sparse_block(draw):
+    """A block of 1 to 5 hand-built worlds on the parameter set of one ``sparse_world``."""
+    first = draw(sparse_world())
+    dims = first.params.dims
+    more = draw(st.integers(0, 4))
+    payments = [first.payments.payments]
+    payments += [draw(hnp.arrays(float, dims, elements=amount, fill=st.nothing())) for _ in range(more)]
+    counts = [first.claims.counts]
+    counts += [draw(hnp.arrays(np.int64, dims, elements=st.integers(0, 50))) for _ in range(more)]
+    return SimulationPath(
+        first.params, ClaimTensor(counts=np.stack(counts)), PaymentTensor(payments=np.stack(payments))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=sparse_block())
+def test_block_projections_equal_each_world_bit_for_bit(block):
+    breakdown = reserve_breakdown(block)
+    stacks = [triangle_occurrence(block), triangle_reporting(block)]
+    stacks += [cumulate(tri) for tri in stacks]
+    for w in range(len(block.payments.payments)):
+        world = SimulationPath(
+            block.params,
+            ClaimTensor(counts=block.claims.counts[w]),
+            PaymentTensor(payments=block.payments.payments[w]),
+        )
+        assert {name: values[w] for name, values in vars(breakdown).items()} == vars(reserve_breakdown(world))
+        singles = [triangle_occurrence(world), triangle_reporting(world)]
+        singles += [cumulate(tri) for tri in singles]
+        for stack, single in zip(stacks, singles):
+            assert stack.values[w].tobytes() == single.values.tobytes()
+            assert stack.known_total[w] == single.known_total
+
+
 # --- Chain-Ladder against the row-by-row algorithm --------------------------------
 
 
@@ -252,6 +288,65 @@ def test_chain_ladder_equals_the_row_loop_bit_for_bit(cum):
         for a, b in zip(got[:3], want[:3]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+
+
+@st.composite
+def incremental_stack(draw):
+    """1 to 5 incremental triangles of 2 to 20 rows and up to one column more,
+    with zero columns, sharing one pattern of unknown (NaN) cells: scattered
+    holes and an unknown tail per row, which may cover the whole row.
+
+    Cell values come from a generator seeded by the draw: uniform, or one of
+    a few drawn amounts (zeros and far-apart magnitudes among them), so that
+    a large stack costs hypothesis a handful of draws, not one per cell.
+    """
+    worlds, n_rows = draw(st.integers(1, 5)), draw(st.integers(2, 20))
+    n_cols = draw(st.integers(1, n_rows + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (worlds, n_rows, n_cols)
+    palette = draw(st.lists(odd_amount | st.floats(0.0, 1e6), min_size=1, max_size=6))
+    steps = np.where(rng.random(shape) < 0.4, rng.choice(palette, shape), rng.uniform(0.0, 1e6, shape))
+    zero_columns, holes = draw(st.sampled_from([0.0, 0.02, 0.2])), draw(st.sampled_from([0.0, 0.05, 0.25]))
+    steps[rng.random((worlds, 1, n_cols)).repeat(n_rows, axis=1) < zero_columns] = 0.0
+    unknown = rng.random((n_rows, n_cols)) < holes
+    # unknown tails: the run-off staircase (row m known up to column n_rows - m) or random
+    if draw(st.booleans()):
+        tails = np.maximum(n_cols - n_rows + np.arange(n_rows), 0)
+    else:
+        tails = rng.integers(0, n_cols + draw(st.integers(0, 1)), n_rows)
+    for row, tail in zip(unknown, tails):
+        row[n_cols - tail :] = True
+    steps[:, unknown] = math.nan
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=incremental_stack())
+def test_stacked_chain_ladder_equals_each_member_bit_for_bit(steps):
+    def fit(tri):
+        result = chain_ladder(tri)
+        return (
+            result.development_factors,
+            result.completed,
+            result.reserve_per_row,
+            np.asarray(result.total_reserve_estimate),
+        )
+
+    stack = cumulate(Triangle(steps, "occurrence", "incremental", steps.shape[1]))
+    members = [cumulate(Triangle(member, "occurrence", "incremental", steps.shape[1])) for member in steps]
+    for w, member in enumerate(members):
+        assert stack.values[w].tobytes() == member.values.tobytes()
+
+    got, want = outcome(fit, stack), [outcome(fit, member) for member in members]
+    failures = [fitted for fitted in want if isinstance(fitted, str)]
+    if failures:
+        # the error of the first column (or row) at which some member fails alone
+        assert got in failures
+    else:
+        assert not isinstance(got, str), got
+        for w, fitted in enumerate(want):
+            for a, b in zip(got, fitted):
+                assert a[w].shape == b.shape and a[w].tobytes() == b.tobytes()
 
 
 # --- configuration fuzz --------------------------------------------------------
