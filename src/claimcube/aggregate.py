@@ -9,19 +9,20 @@ valuation horizon ``I``:
 
 The two 2-D run-off triangles partition exactly the known payments, once by
 (occurrence year, j+k) and once by (reporting year i+j, k); nothing is double
-counted.  Reserves and triangle grand totals are accumulated with exactly
-rounded summation (:func:`math.fsum`), so both projections of the same world
-report the bit-identical total.  The exact sums skip the zero cells, which
-are +0.0 and cannot change an exactly rounded sum; most cells of a world are
-zero.  Cell values use a fixed ascending (i, j, k) accumulation order for
-reproducibility.
+counted.  Reserves and the known total are exactly rounded sums
+(:func:`math.fsum`), all taken in one place, :func:`_world_statistics`, so
+both projections of the same world report the bit-identical total.  The
+exact sums skip the zero cells, which are +0.0 and cannot change an exactly
+rounded sum; most cells of a world are zero.  Cell values use a fixed
+ascending (i, j, k) accumulation order for reproducibility.
 
 The triangles and :func:`reserve_breakdown` also take a block path, whose
 tensors carry a leading world axis ``(W, I, J, K+1)``.  They then return one
 value per world: a triangle stack of shape ``(W, I, I)`` whose members share
-one known region, and per-world tuples of reserves and totals.  Each world's
-result is bit-identical to the one its own single-world path gives.
-:func:`total_known_payments` and :func:`mean_claim_size` take one world only.
+one known region (and which carries no known total), and per-world tuples
+of reserves.  Each world's values are bit-identical to the ones its own
+single-world path gives.  :func:`total_known_payments` and
+:func:`mean_claim_size` take one world only.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ __all__ = [
     "triangle_occurrence",
     "triangle_reporting",
 ]
-
-
-def _exact_sum(values: np.ndarray) -> float:
-    """Exactly rounded sum of ``values``; the +0.0 cells are skipped, as they add nothing."""
-    return math.fsum(values[values != 0].tolist())
 
 
 class _Cells(NamedTuple):
@@ -98,19 +94,19 @@ class Triangle:
 
     ``values[m-1, n]`` is populated iff ``m + n <= horizon`` (1-based row m,
     0-based development column n).  ``known_total`` is the exactly rounded
-    sum of all payments behind the triangle; both projections of one world
-    carry the identical value.
+    sum of all payments behind the triangle (:func:`total_known_payments`);
+    both projections of one world carry the identical value.
 
     A stack (the projection of a block path) carries a leading world axis:
-    ``values[w]`` is world ``w``'s triangle and ``known_total`` a tuple with
-    one total per world.  All members of a stack share one known region.
+    ``values[w]`` is world ``w``'s triangle, and ``known_total`` is None.
+    All members of a stack share one known region.
     """
 
     values: np.ndarray
     orientation: str  # "occurrence" | "reporting"
     form: str  # "incremental" | "cumulative"
     horizon: int
-    known_total: float | tuple[float, ...] | None = None
+    known_total: float | None = None
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -148,10 +144,9 @@ def _project(path: SimulationPath, orientation: str) -> Triangle:
     values = np.bincount(flat, weights=weights.reshape(-1), minlength=worlds * size)
     values = values.reshape(worlds, n_i, n_i)
     values[:, cells.unknown] = np.nan
-    totals = tuple(_exact_sum(row) for row in weights)
-    if not _is_block(path):
-        values, totals = values[0], totals[0]
-    return Triangle(values, orientation, "incremental", n_i, totals)
+    if _is_block(path):
+        return Triangle(values, orientation, "incremental", n_i)
+    return Triangle(values[0], orientation, "incremental", n_i, total_known_payments(path))
 
 
 def triangle_occurrence(path: SimulationPath) -> Triangle:
@@ -171,13 +166,15 @@ def _world_statistics(path: SimulationPath, names) -> dict[str, list]:
     ``ibnr_count`` counts the claims of the IBNR columns at k = 0; the
     reserves and ``known_payments`` are exactly rounded sums over each world's
     cells of the class, gathered for all worlds at once, and ``total_reserve``
-    is ``ibnr_reserve + reported_reserve`` (one addition).
+    is ``ibnr_reserve + reported_reserve`` (one addition).  This is the one
+    place in the package where exact sums are taken.
     """
     cells = _classification(*path.params.dims)
     z = path.payments.payments.reshape(-1, math.prod(path.params.dims))
 
     def sums(index: np.ndarray) -> list[float]:
-        return [_exact_sum(row) for row in z.take(index, axis=1)]
+        # The +0.0 cells are skipped, as they cannot change an exactly rounded sum.
+        return [math.fsum(row[row != 0].tolist()) for row in z.take(index, axis=1)]
 
     stats = {}
     if "ibnr_count" in names:
@@ -286,7 +283,7 @@ def analytic_reserve_moments(params: ModelParams) -> dict[str, MomentPair]:
     ``reported_reserve`` and ``total_reserve``.
     """
     n_i, n_j, n_k = params.dims
-    lam_col = params.expected_counts[:, None] * params.lag_probs[None, :]
+    lam_col = params._kernel.column_means
     i_idx = np.arange(1, n_i + 1)[:, None]
     j_idx = np.arange(n_j)[None, :]
     ibnr_cols = (i_idx + j_idx) > n_i

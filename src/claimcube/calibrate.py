@@ -84,13 +84,16 @@ def calibrated_params(path: SimulationPath, fallback: ModelParams) -> ModelParam
     """Bundle all estimates into a parameter set ready for re-simulation.
 
     Cells whose estimate is absent (no payments observed) fall back to the
-    corresponding value of ``fallback``, so the result always validates.
-    Expected ultimate counts have no estimator here and are carried over
-    from ``fallback`` unchanged.
+    corresponding value of ``fallback``, so the result always validates.  A
+    severity cell whose estimated mean is not > 0 (its amounts all underflowed
+    to 0, as they can at a tiny Gamma shape) counts as absent, for its mean
+    and its variance.  Expected ultimate counts have no estimator here and
+    are carried over from ``fallback`` unchanged.
     """
     _require_world(path, "calibrated_params")
     pay_prob = estimate_pay_prob(path)
     mean, var = estimate_severity(path)
+    absent = ~(mean > 0)  # NaN (no payments) or 0
     return ModelParams(
         occurrence_years=fallback.occurrence_years,
         max_lag=fallback.max_lag,
@@ -99,6 +102,6 @@ def calibrated_params(path: SimulationPath, fallback: ModelParams) -> ModelParam
         lag_probs=estimate_lag_probs(path),
         survival=estimate_survival(path),
         pay_prob=np.where(np.isnan(pay_prob), fallback.pay_prob, pay_prob),
-        severity_mean=np.where(np.isnan(mean), fallback.severity_mean, mean),
-        severity_var=np.where(np.isnan(var), fallback.severity_var, var),
+        severity_mean=np.where(absent, fallback.severity_mean, mean),
+        severity_var=np.where(absent | np.isnan(var), fallback.severity_var, var),
     )

@@ -191,8 +191,8 @@ def _chain_ladder_estimates(project, block) -> list[tuple[float, str]]:
     else:
         return [(estimate, "") for estimate in fit.total_reserve_estimate.tolist()]
     estimates = []
-    for values, total in zip(stack.values, stack.known_total):
-        member = Triangle(values, stack.orientation, stack.form, stack.horizon, total)
+    for values in stack.values:
+        member = Triangle(values, stack.orientation, stack.form, stack.horizon)
         try:
             estimates.append((chain_ladder(member).total_reserve_estimate, ""))
         except EstimationError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregate import MomentPair, _world_statistics
-from .errors import ParameterError
+from .errors import ParameterError, _require_integer
 from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, _shared, simulate_path, validate_params
 from .streams import RandomStream
 
@@ -179,6 +179,7 @@ def replicate_path(
     Draws only the first ``r % B + 1`` worlds of the block.  Assumes
     ``params`` passed :func:`validate_params`.
     """
+    _require_integer("replicate", replicate, 0)
     block, offset = divmod(replicate, block_replicates(params))
     path = simulate_path(
         RandomStream(master_seed, block), params, retain_severities=retain_severities, size=offset + 1
@@ -198,10 +199,8 @@ def _replicate_loop(
     the calling thread only collects.  Validates ``params``.
     """
     validate_params(params)
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates!r}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers!r}")
+    _require_integer("replicates", replicates, 1)
+    _require_integer("workers", workers, 1)
     size = block_replicates(params)
     starts = range(0, replicates, size)
     cpus = os.cpu_count() or 1
@@ -239,7 +238,9 @@ def run_monte_carlo(
     The result also holds replicate 0's world, equal to :func:`replicate_path`
     of replicate 0, so that ``simulate`` does not draw it a second time.
     """
-    names = tuple(statistics)
+    names = () if isinstance(statistics, str) else tuple(statistics)
+    if not names:
+        raise ParameterError(f"statistics must be a non-empty sequence of names, got {statistics!r}")
     bad = [n for n in names if n not in SUPPORTED_STATISTICS]
     if bad:
         raise ParameterError(f"unknown statistics {bad}; supported: {list(SUPPORTED_STATISTICS)}")

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_integer
 from .streams import BINOMIAL, GAMMA, MULTINOMIAL, POISSON, PROB_TOL, RandomStream, gamma_shape_scale
 
 __all__ = [
@@ -317,8 +317,11 @@ def simulate_counts(stream: RandomStream, params: ModelParams, size: int | None 
     Two generator calls: Poisson (i, j) columns, then one multinomial over the
     last active run-off year with probabilities ``survival[k] - survival[k+1]``
     (``survival[K+1] = 0``); ``counts[..., k]`` counts the claims whose last
-    active year is >= k.  Assumes ``params`` passed :func:`validate_params`.
+    active year is >= k.  ``size`` must be None or an integer >= 1.  Assumes
+    ``params`` passed :func:`validate_params`.
     """
+    if size is not None:
+        _require_integer("size", size, 1)
     kernel = params._kernel
     shape = kernel.column_means.shape if size is None else (size, *kernel.column_means.shape)
     gens = stream.generators
@@ -390,11 +393,8 @@ def _split_totals(gen, params, pay_counts, payments):
     """
     nu = pay_counts.transpose(1, 2, 0)  # pool (j, k), then occurrence year i
     sizes = nu.sum(axis=2)
-    stochastic = params.severity_var > 0.0
-    shape = np.zeros(sizes.shape)
-    shape[stochastic], _ = gamma_shape_scale(
-        params.severity_mean[stochastic], params.severity_var[stochastic]
-    )
+    stochastic = params._kernel.stochastic
+    shape = params._kernel.shape.reshape(sizes.shape)
     amounts = np.repeat(params.severity_mean.ravel(), sizes.ravel())
     pool_ends = np.cumsum(sizes.ravel())
     severities: dict[tuple[int, int], np.ndarray] = {}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS
 from .model import ModelParams, make_expected_counts, validate_params
 
 __all__ = ["default_config", "default_params"]
@@ -26,6 +25,9 @@ __all__ = ["default_config", "default_params"]
 OCCURRENCE_YEARS = 15
 MAX_LAG = 15
 MAX_RUNOFF = 40
+#: Expected claims of the first occurrence year, and their yearly growth.
+BASE_COUNT = 150.0
+COUNT_GROWTH = 0.03
 
 
 def default_params() -> ModelParams:
@@ -50,7 +52,7 @@ def default_params() -> ModelParams:
             occurrence_years=OCCURRENCE_YEARS,
             max_lag=MAX_LAG,
             max_runoff=MAX_RUNOFF,
-            expected_counts=make_expected_counts(150.0, 0.03, OCCURRENCE_YEARS),
+            expected_counts=make_expected_counts(BASE_COUNT, COUNT_GROWTH, OCCURRENCE_YEARS),
             lag_probs=lag_probs,
             survival=survival,
             pay_prob=pay_prob,
@@ -62,24 +64,10 @@ def default_params() -> ModelParams:
 
 def default_config() -> dict:
     """The built-in run configuration (the CLI accepts it as ``--config default``)."""
-    params = default_params()
-    return {
-        "model": {
-            "occurrence_years": OCCURRENCE_YEARS,
-            "max_lag": MAX_LAG,
-            "max_runoff": MAX_RUNOFF,
-            "expected_counts": {"base": 150.0, "growth": 0.03},
-            "lag_probs": params.lag_probs.tolist(),
-            "survival": params.survival.tolist(),
-            "pay_prob": params.pay_prob.tolist(),
-            "severity_mean": params.severity_mean.tolist(),
-            "severity_var": params.severity_var.tolist(),
-        },
-        "run": {
-            "replicates": 1000,
-            "master_seed": 1234,
-            "statistics": list(DEFAULT_STATISTICS),
-            "quantile_levels": list(DEFAULT_QUANTILE_LEVELS),
-            "output_dir": "runs/default",
-        },
-    }
+    # Imported here, not at the top: config imports this module to resolve
+    # "default", so a top-level import would be circular.
+    from .config import config_from_params
+
+    mapping = config_from_params(default_params(), replicates=1000, master_seed=1234, output_dir="runs/default")
+    mapping["model"]["expected_counts"] = {"base": BASE_COUNT, "growth": COUNT_GROWTH}
+    return mapping

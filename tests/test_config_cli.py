@@ -227,6 +227,22 @@ def test_calibrate_output_revalidates(tmp_path):
     assert estimated.params.lag_probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def tiny_shape_config(tmp_path):
+    """Severity shape 1e-6 (mean 10, variance 1e8): every drawn amount underflows to 0."""
+    path = small_config(tmp_path, replicates=3)
+    mapping = json.loads(path.read_text())
+    mapping["model"]["severity_mean"] = [[10.0] * 4] * 3
+    mapping["model"]["severity_var"] = [[1e8] * 4] * 3
+    write_config(mapping, path)
+    return path
+
+
+def test_calibrate_export_of_a_tiny_shape_config_simulates(tmp_path):
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", str(tiny_shape_config(tmp_path)), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(out / "estimated_config.json"), "--out", str(tmp_path / "sim")]) == 0
+
+
 def read_triangle_csv(path):
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))[1:]

@@ -138,10 +138,28 @@ def test_scheduling_invariance(make_params):
         assert np.array_equal(serial[name].samples, threaded[name].samples)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
 def test_workers_below_one_rejected(make_params, workers):
     with pytest.raises(ParameterError, match="workers"):
         run_monte_carlo(make_params(), 2, 1, workers=workers)
+
+
+@pytest.mark.parametrize("replicates", [0, -1, 2.5, "2"])
+def test_bad_replicate_count_rejected(make_params, replicates):
+    with pytest.raises(ParameterError, match="replicates"):
+        run_monte_carlo(make_params(), replicates, 1)
+
+
+@pytest.mark.parametrize("replicate", [-1, 2.5, None])
+def test_bad_replicate_index_rejected(make_params, replicate):
+    with pytest.raises(ParameterError, match="replicate must"):
+        replicate_path(make_params(), 1, replicate)
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.5, False])
+def test_bad_block_size_rejected(make_params, size):
+    with pytest.raises(ParameterError, match="size"):
+        simulate_path(RandomStream(1, 0), make_params(), size=size)
 
 
 def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
@@ -179,8 +197,13 @@ def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
 
 
 def test_unknown_statistic_rejected(make_params):
-    with pytest.raises(ParameterError, match="unknown statistics"):
-        run_monte_carlo(make_params(), 2, 1, statistics=("nope",))
+    for statistics, message in (
+        (("nope",), "unknown statistics"),
+        ((), "statistics must"),  # a config with an empty list is rejected too
+        ("total_reserve", "statistics must"),  # not read as the names 't', 'o', ...
+    ):
+        with pytest.raises(ParameterError, match=message):
+            run_monte_carlo(make_params(), 2, 1, statistics=statistics)
 
 
 def test_known_payments_statistic_available(make_params):

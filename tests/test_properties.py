@@ -1,5 +1,7 @@
 """Property tests over random small parameter sets (hypothesis)."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,9 +19,12 @@ from claimcube import (
     RandomStream,
     SimulationPath,
     Triangle,
+    calibrated_params,
     chain_ladder,
+    config_from_params,
     cumulate,
     default_config,
+    param_errors,
     parse_config,
     reserve_breakdown,
     simulate_counts,
@@ -210,7 +215,7 @@ def test_block_projections_equal_each_world_bit_for_bit(block):
         singles += [cumulate(tri) for tri in singles]
         for stack, single in zip(stacks, singles):
             assert stack.values[w].tobytes() == single.values.tobytes()
-            assert stack.known_total[w] == single.known_total
+            assert stack.known_total is None
 
 
 # --- Chain-Ladder against the row-by-row algorithm --------------------------------
@@ -394,3 +399,33 @@ def test_config_fuzz_raises_only_parameter_errors(mapping):
     except ParameterError:
         return
     assert cfg.params.dims == (cfg.params.occurrence_years, cfg.params.max_lag, cfg.params.max_runoff + 1)
+
+
+# --- export and calibration round trips ------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:survival curve plateaus")
+@settings(max_examples=200, deadline=None)
+@given(params=small_params())
+def test_config_export_round_trips_every_model_field_bit_for_bit(params):
+    exported = json.dumps(config_from_params(params, replicates=1, master_seed=0), indent=2, sort_keys=True)
+    loaded = parse_config(json.loads(exported)).params
+    for field in dataclasses.fields(ModelParams):
+        original, parsed = getattr(params, field.name), getattr(loaded, field.name)
+        if isinstance(original, np.ndarray):
+            assert parsed.shape == original.shape and parsed.tobytes() == original.tobytes(), field.name
+        else:
+            assert type(parsed) is type(original) and parsed == original, field.name
+
+
+@pytest.mark.filterwarnings("ignore:survival curve plateaus")
+@settings(max_examples=200, deadline=None)
+@given(params=small_params(), seed=st.integers(0, 2**32 - 1))
+def test_calibrated_params_of_a_retained_world_validate(params, seed):
+    world = simulate_path(RandomStream(seed, 0), params, retain_severities=True)
+    try:
+        estimated = calibrated_params(world, fallback=params)
+    except EstimationError:
+        assert world.claims.counts[:, :, 0].sum() == 0  # only a world without claims has no estimate
+        return
+    assert param_errors(estimated) == []
