@@ -73,10 +73,14 @@ def estimate_severity(path: SimulationPath) -> tuple[np.ndarray, np.ndarray]:
     _, n_j, n_k = path.params.dims
     mean = np.full((n_j, n_k), np.nan)
     var = np.full((n_j, n_k), np.nan)
+    # The sums and quotients that ndarray.mean() and var(ddof=1) take, bit for
+    # bit, without their per-call overhead: a world has hundreds of pools.
     for (j, k), amounts in path.severities.items():
-        mean[j, k] = amounts.mean()
-        if amounts.size >= 2:
-            var[j, k] = amounts.var(ddof=1)
+        n = amounts.size
+        mean[j, k] = np.add.reduce(amounts) / n
+        if n >= 2:
+            d = amounts - mean[j, k]
+            var[j, k] = np.add.reduce(d * d) / (n - 1)
     return mean, var
 
 

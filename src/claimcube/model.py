@@ -388,36 +388,61 @@ def _split_totals(gen, params, pay_counts, payments):
     the individual amounts given S.  Each non-empty stochastic pool takes one
     ``standard_gamma`` call, in ascending (j, k) order.  Should a cell's draws
     all underflow to 0 (a tiny shape), S goes to one of its payments chosen
-    uniformly, the shape -> 0 limit of the Dirichlet.  Zero-variance pools pay
+    uniformly, the shape -> 0 limit of the Dirichlet; these picks take one
+    ``integers`` call after every pool is drawn.  Zero-variance pools pay
     the mean per payment.
-    """
-    nu = pay_counts.transpose(1, 2, 0)  # pool (j, k), then occurrence year i
-    sizes = nu.sum(axis=2)
-    stochastic = params._kernel.stochastic
-    shape = params._kernel.shape.reshape(sizes.shape)
-    amounts = np.repeat(params.severity_mean.ravel(), sizes.ravel())
-    pool_ends = np.cumsum(sizes.ravel())
-    severities: dict[tuple[int, int], np.ndarray] = {}
-    for p in np.flatnonzero(sizes):
-        j, k = divmod(int(p), sizes.shape[1])
-        pool = amounts[pool_ends[p] - sizes[j, k] : pool_ends[p]]
-        if stochastic[j, k]:
-            gen.standard_gamma(shape[j, k], out=pool)
-        severities[(j, k)] = pool
 
-    lengths = nu.ravel()
-    filled = lengths > 0
-    lengths = lengths[filled]
-    starts = np.cumsum(lengths) - lengths
-    sums = np.add.reduceat(amounts, starts)
-    split = np.broadcast_to(stochastic[:, :, None], nu.shape).ravel()[filled]
-    totals = payments.transpose(1, 2, 0).ravel()[filled]
-    # Normalise before scaling: g / sum <= 1, so no quotient overflows.
-    normal = split & (sums > 0)
-    amounts /= np.repeat(np.where(normal, sums, 1.0), lengths)
-    amounts *= np.repeat(np.where(split, totals, 1.0), lengths)
-    lumped = split & (sums == 0) & (totals > 0)
-    amounts[starts[lumped] + gen.integers(lengths[lumped])] = totals[lumped]
+    The retained amounts cost 8 bytes per payment.  They are drawn and
+    normalised in runs of consecutive pools, each run in its own array of at
+    most max(largest pool, I * J * (K+1)) payments, so the working arrays of
+    the normalisation are bounded by one run rather than by the world.  Each
+    pool's amounts are a view of its run's array.
+    """
+    n_i, _, n_k = pay_counts.shape
+    nu = pay_counts.transpose(1, 2, 0).ravel()  # cells by pool (j, k), then occurrence year i
+    totals = payments.transpose(1, 2, 0).ravel()
+    sizes = nu.reshape(-1, n_i).sum(axis=1)
+    ends = np.cumsum(sizes)
+    kernel = params._kernel
+    stochastic = kernel.stochastic.ravel()
+    split_cells = np.repeat(stochastic, n_i)
+    cap = max(int(sizes.max()), nu.size)
+    severities: dict[tuple[int, int], np.ndarray] = {}
+    lumped = []  # per run: (run, starts, lengths, totals) of the cells whose draws all underflowed
+    first = offset = 0  # the run's first pool and first payment
+    while offset < ends[-1]:
+        stop = int(np.searchsorted(ends, offset + cap, side="right"))
+        run = np.empty(int(ends[stop - 1]) - offset)
+        for p in np.flatnonzero(sizes[first:stop]) + first:
+            pool = run[ends[p] - sizes[p] - offset : ends[p] - offset]
+            if stochastic[p]:
+                gen.standard_gamma(kernel.shape[p], out=pool)
+            else:
+                pool.fill(params.severity_mean.flat[p])
+            severities[divmod(int(p), n_k)] = pool
+
+        cells = slice(first * n_i, stop * n_i)
+        lengths = nu[cells]
+        filled = lengths > 0
+        lengths = lengths[filled]
+        starts = np.cumsum(lengths) - lengths
+        sums = np.add.reduceat(run, starts)
+        split = split_cells[cells][filled]
+        run_totals = totals[cells][filled]
+        # Normalise before scaling: g / sum <= 1, so no quotient overflows.
+        normal = split & (sums > 0)
+        run /= np.repeat(np.where(normal, sums, 1.0), lengths)
+        run *= np.repeat(np.where(split, run_totals, 1.0), lengths)
+        under = split & (sums == 0) & (run_totals > 0)
+        if under.any():
+            lumped.append((run, starts[under], lengths[under], run_totals[under]))
+        first, offset = stop, int(ends[stop - 1])
+
+    highs = [high for _, _, high, _ in lumped]
+    picks = gen.integers(np.concatenate(highs) if highs else np.empty(0, np.int64))
+    for run, starts, _, cell_totals in lumped:
+        run[starts + picks[: len(starts)]] = cell_totals
+        picks = picks[len(starts) :]
     return severities
 
 

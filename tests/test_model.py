@@ -378,6 +378,50 @@ def test_tiny_shape_retained_amounts_stay_finite_and_reconcile(make_params):
     assert positive_totals > 0
 
 
+def test_runs_that_start_and_end_inside_the_pools_reconcile_cell_by_cell(make_params):
+    # Pools in (j, k) order: ordinary, zero variance, tiny shape (1e-4: some
+    # cells' draws all underflow and are lumped), tiny shape, ordinary, zero variance.
+    mean = np.array([[10.0, 4.0, 5.0], [8.0, 12.0, 3.0]])
+    shape = np.array([[2.0, np.inf, 1e-4], [1e-4, 0.5, np.inf]])
+    params = make_params(
+        occurrence_years=4, expected_counts=150.0, pay_prob=0.9, severity_mean=mean, severity_var=mean**2 / shape
+    )
+    lumped_pools = set()
+    for r in range(20):
+        path = simulate_path(RandomStream(17, r), params, retain_severities=True)
+        nu, z = path.claims.pay_counts, path.payments.payments
+        # more than two runs of max(largest pool, cells): some run starts and ends mid-sequence
+        assert nu.sum() > 2 * max(nu.sum(axis=0).max(), nu.size)
+        for (j, k), amounts in path.severities.items():
+            assert amounts.size == nu[:, j, k].sum()
+            if shape[j, k] == np.inf:
+                assert np.all(amounts == mean[j, k])
+            for i, segment in enumerate(np.split(amounts, np.cumsum(nu[:, j, k])[:-1])):
+                assert math.fsum(segment) == pytest.approx(z[i, j, k], rel=1e-12, abs=0.0)
+                if shape[j, k] == 1e-4 and np.count_nonzero(segment) == 1 and segment.size > 1:
+                    lumped_pools.add((j, k))
+    assert lumped_pools == {(0, 2), (1, 0)}
+
+
+def test_retained_world_memory_is_its_amounts_plus_one_run():
+    # The retained amounts take 8 B per payment.  Everything else the draw
+    # holds at once (the plain world, the normalisation of one run) is bounded
+    # by max(largest pool, cells), not by the number of payments.
+    base = default_params()
+    params = validate_params(dataclasses.replace(base, expected_counts=60 * base.expected_counts))
+    simulate_path(RandomStream(2025, 1), base, retain_severities=True)  # first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        path = simulate_path(RandomStream(2025, 0), params, retain_severities=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nu = path.claims.pay_counts
+    payments, run = int(nu.sum()), max(int(nu.sum(axis=0).max()), nu.size)
+    assert payments > 500_000
+    assert peak < 8 * payments + 192 * run, f"peak {peak} B for {payments} payments, runs of {run}"
+
+
 def test_million_claims_per_year_world_runs_in_bounded_memory():
     params = validate_params(dataclasses.replace(default_params(), expected_counts=1e6))
     tracemalloc.start()

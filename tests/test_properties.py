@@ -19,11 +19,13 @@ from claimcube import (
     RandomStream,
     SimulationPath,
     Triangle,
+    analytic_reserve_moments,
     calibrated_params,
     chain_ladder,
     config_from_params,
     cumulate,
     default_config,
+    estimate_severity,
     param_errors,
     parse_config,
     reserve_breakdown,
@@ -88,6 +90,72 @@ def test_retained_amounts_split_the_plain_cell_totals(params, seed):
             assert np.all(np.isfinite(amounts)) and np.all(amounts >= 0)
             for i, segment in enumerate(np.split(amounts, np.cumsum(nu[:, j, k])[:-1])):
                 assert math.fsum(segment) == pytest.approx(z[i, j, k], rel=1e-12, abs=0.0)
+
+
+# numpy sums up to 8 values in a plain loop, then 8 accumulators, and splits
+# pairwise above 128: pool sizes on both sides of each boundary.
+pool_size = st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 256, 257]) | st.integers(1000, 5000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pools=st.lists(st.tuples(pool_size, st.floats(0.0, 4.0), st.integers(-3, 6)), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_severity_estimates_equal_ndarray_mean_and_var_bit_for_bit(pools, seed):
+    params = validate_params(
+        ModelParams(
+            occurrence_years=1,
+            max_lag=2,
+            max_runoff=2,
+            expected_counts=1.0,
+            lag_probs=[0.5, 0.5],
+            survival=[1.0, 0.5, 0.25],
+            pay_prob=0.5,
+            severity_mean=1.0,
+            severity_var=1.0,
+        )
+    )
+    rng = np.random.default_rng(seed)
+    severities = {
+        divmod(p, 3): rng.lognormal(0.0, sigma, size) * 10.0**exponent
+        for p, (size, sigma, exponent) in enumerate(pools)
+    }
+    empty = np.zeros(params.dims, dtype=np.int64)
+    path = SimulationPath(params, ClaimTensor(empty, empty), PaymentTensor(np.zeros(params.dims)), severities)
+    mean, var = estimate_severity(path)
+    for (j, k), amounts in severities.items():
+        assert mean[j, k] == amounts.mean()
+        if amounts.size > 1:
+            assert var[j, k] == amounts.var(ddof=1)
+        else:
+            assert math.isnan(var[j, k])
+
+
+@pytest.mark.filterwarnings("ignore:survival curve plateaus")
+@settings(max_examples=200, deadline=None)
+@given(params=small_params())
+def test_analytic_reserve_means_equal_the_cell_by_cell_expectation(params):
+    n_i, n_j, n_k = params.dims
+    cells = {"ibnr_count": [], "ibnr_reserve": [], "reported_reserve": []}
+    world = []
+    for i in range(1, n_i + 1):
+        for j in range(n_j):
+            lam = params.expected_counts[i - 1] * params.lag_probs[j]
+            if i + j > n_i:
+                cells["ibnr_count"].append(lam)
+            for k in range(n_k):
+                mean = lam * params.survival[k] * params.pay_prob[k] * params.severity_mean[j, k]
+                world.append(mean)
+                if i + j > n_i:
+                    cells["ibnr_reserve"].append(mean)
+                elif i + j + k > n_i:
+                    cells["reported_reserve"].append(mean)
+    cells["total_reserve"] = cells["ibnr_reserve"] + cells["reported_reserve"]
+    moments = analytic_reserve_moments(params)
+    scale = math.fsum(world) + math.fsum(cells["ibnr_count"])
+    for name, terms in cells.items():
+        assert moments[name].mean == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-12 * scale), name
 
 
 @pytest.mark.filterwarnings("ignore:survival curve plateaus")
