@@ -50,10 +50,12 @@ __all__ = [
 
 
 class _Cells(NamedTuple):
-    """Flat indices, ascending over one world's raveled (i, j, k) cells, of
-    the three cell classes at horizon I, and where the known cells fall in
-    each triangle."""
+    """The horizon table of an (I, J, K+1) world and the cell classes it
+    implies: flat indices, ascending over one world's raveled (i, j, k)
+    cells, and where the known cells fall in each triangle."""
 
+    ibnr_column: np.ndarray  # (I, J) mask of the unreported columns: i + j > I
+    first_future: np.ndarray  # (I, J): t_ij = clip(I + 1 - i - j, 0, K + 1); known iff k < t_ij
     known: np.ndarray
     ibnr: np.ndarray
     reported_future: np.ndarray
@@ -65,19 +67,21 @@ class _Cells(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _classification(n_i: int, n_j: int, n_k: int) -> _Cells:
-    """The cell classes of an (n_i, n_j, n_k) world (cached per shape)."""
-    i = np.arange(1, n_i + 1)[:, None, None]
-    j = np.arange(n_j)[None, :, None]
-    k = np.arange(n_k)[None, None, :]
-    age = i + j + k
-    known = age <= n_i
-    ibnr = np.broadcast_to(i + j > n_i, known.shape)
+    """The horizon table and cell classes of an (n_i, n_j, n_k) world (cached per shape)."""
+    i = np.arange(1, n_i + 1)[:, None]
+    j = np.arange(n_j)[None, :]
+    ibnr_column = i + j > n_i
+    first_future = np.clip(n_i + 1 - i - j, 0, n_k)
+    known = np.arange(n_k) < first_future[:, :, None]
+    ibnr = np.broadcast_to(ibnr_column[:, :, None], known.shape)
     ii, jj, kk = np.nonzero(known)
     cells = _Cells(
+        ibnr_column=ibnr_column,
+        first_future=first_future,
         known=np.flatnonzero(known),
         ibnr=np.flatnonzero(ibnr),
-        reported_future=np.flatnonzero(~ibnr & (age > n_i)),
-        ibnr_cols=np.flatnonzero(ibnr & (k == 0)),
+        reported_future=np.flatnonzero(~ibnr & ~known),
+        ibnr_cols=np.flatnonzero(ibnr_column) * n_k,
         occurrence_bins=ii * n_i + (jj + kk),
         reporting_bins=(ii + jj) * n_i + kk,
         unknown=np.add.outer(np.arange(n_i), np.arange(n_i)) > n_i - 1,
@@ -233,10 +237,10 @@ class MomentPair:
         return math.sqrt(self.variance)
 
 
-def _suffix_sum(x: np.ndarray, pad: int = 2) -> np.ndarray:
-    """out[:, t] = sum over columns >= t, padded with ``pad`` zero tails."""
+def _suffix_sum(x: np.ndarray) -> np.ndarray:
+    """out[:, t] = sum over columns >= t, for t = 0..n_cols (the last is 0)."""
     n_rows, n_cols = x.shape
-    out = np.zeros((n_rows, n_cols + pad))
+    out = np.zeros((n_rows, n_cols + 1))
     out[:, :n_cols] = np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
     return out
 
@@ -244,28 +248,22 @@ def _suffix_sum(x: np.ndarray, pad: int = 2) -> np.ndarray:
 def _per_claim_tail_moments(params: ModelParams):
     """First and second moment of one claim's payment stream from year t on.
 
-    A claim with lag j contributes Y(t) = sum_{k>=t} A_k B_k X_k, where A_k
-    indicates survival to k (prob eta_k, monotone), B_k an independent
-    payment event (prob p_k) and X_k an independent severity.  Hence
+    A claim with lag j contributes Y(t) = A_t B_t X_t + Y(t+1), Y(K+1) = 0,
+    where A_t indicates survival to t (prob eta_t, monotone), B_t an
+    independent payment event (prob p_t) and X_t an independent severity.
+    As A_t A_k = A_k for k > t,
 
-        E[Y(t)]   = sum_{k>=t} eta_k b_k,                    b_k = p_k EW_jk
-        E[Y(t)^2] = sum_{k>=t} eta_k p_k (Var_jk + EW_jk^2)
-                    + 2 sum_{t<=k<l} eta_l b_k b_l
+        E[Y(t)]   = eta_t b_t  + E[Y(t+1)],                  b_t  = p_t EW_jt
+        E[Y(t)^2] = eta_t b2_t + 2 b_t E[Y(t+1)] + E[Y(t+1)^2], b2_t = p_t E[W_jt^2]
 
-    using A_k A_l = A_l for k < l. Returns arrays indexed [j, t] for
-    t = 0..K+1 (t past the horizon gives 0).
+    two suffix sums of non-negative terms.  Returns arrays indexed [j, t]
+    for t = 0..K+1 (t past the horizon gives 0).
     """
     eta = params.survival[None, :]
     b = params.pay_prob[None, :] * params.severity_mean
     b2 = params.pay_prob[None, :] * (params.severity_var + params.severity_mean**2)
     first = _suffix_sum(eta * b)
-    square = _suffix_sum(eta * b2)
-    c_prev = np.concatenate([np.zeros((b.shape[0], 1)), np.cumsum(b, axis=1)], axis=1)
-    cross = _suffix_sum(eta * b * c_prev[:, :-1])
-    n_k = b.shape[1]
-    t = np.arange(n_k + 1)
-    second = square[:, : n_k + 1] + 2.0 * (cross[:, 1 : n_k + 2] - c_prev[:, t] * first[:, 1 : n_k + 2])
-    return first[:, : n_k + 1], second
+    return first, _suffix_sum(eta * b2 + 2.0 * b * first[:, 1:])
 
 
 def analytic_reserve_moments(params: ModelParams) -> dict[str, MomentPair]:
@@ -275,30 +273,28 @@ def analytic_reserve_moments(params: ModelParams) -> dict[str, MomentPair]:
     counts of each (occurrence year, lag) column independent Poisson with
     mean ``expected_counts[i] * lag_probs[j]``; survival and payment stages
     are independent per-claim markings.  Every reserve slice is therefore a
-    compound Poisson sum of the per-claim tail stream Y(t) documented in the
-    module, giving mean = Lambda * E[Y] and variance = Lambda * E[Y^2] per
-    column, additive over columns.
+    compound Poisson sum over columns of the per-claim tail stream Y(t_ij)
+    from the column's first future run-off year t_ij (0 for an IBNR column),
+    giving mean = Lambda * E[Y] and variance = Lambda * E[Y^2] per column,
+    additive over columns.
 
     Returns moment pairs for ``ibnr_count``, ``ibnr_reserve``,
     ``reported_reserve`` and ``total_reserve``.
     """
-    n_i, n_j, n_k = params.dims
+    cells = _classification(*params.dims)
     lam_col = params._kernel.column_means
-    i_idx = np.arange(1, n_i + 1)[:, None]
-    j_idx = np.arange(n_j)[None, :]
-    ibnr_cols = (i_idx + j_idx) > n_i
+    ibnr_cols, rep_mask = cells.ibnr_column, ~cells.ibnr_column
 
+    # One claim's tail moments from each (i, j) column's first future year on.
     first, second = _per_claim_tail_moments(params)
-    j_grid = np.broadcast_to(j_idx, lam_col.shape)
-    t_reported = np.clip(n_i - i_idx - j_idx + 1, 0, n_k)
+    rows = np.arange(params.max_lag)
+    first, second = first[rows, cells.first_future], second[rows, cells.first_future]
 
     ibnr_lam = float(lam_col[ibnr_cols].sum())
-    ibnr_mean = float((lam_col * first[j_grid, 0] * ibnr_cols).sum())
-    ibnr_var = float((lam_col * second[j_grid, 0] * ibnr_cols).sum())
-
-    rep_mask = ~ibnr_cols
-    rep_mean = float((lam_col * first[j_grid, t_reported] * rep_mask).sum())
-    rep_var = float((lam_col * second[j_grid, t_reported] * rep_mask).sum())
+    ibnr_mean = float((lam_col * first * ibnr_cols).sum())
+    ibnr_var = float((lam_col * second * ibnr_cols).sum())
+    rep_mean = float((lam_col * first * rep_mask).sum())
+    rep_var = float((lam_col * second * rep_mask).sum())
 
     return {
         "ibnr_count": MomentPair(ibnr_lam, ibnr_lam),

@@ -121,13 +121,14 @@ def _cmd_calibrate(args) -> int:
     validate_params(cfg.params)
     world = replicate_path(cfg.params, cfg.master_seed, 0, retain_severities=True)
     estimated = calibrated_params(world, fallback=cfg.params)
+    # The export keeps the default run.output_dir, not --out, so that its
+    # bytes do not depend on where it is written.
     exported = config_from_params(
         estimated,
         replicates=cfg.replicates,
         master_seed=cfg.master_seed,
         statistics=cfg.statistics,
         quantile_levels=cfg.quantile_levels,
-        output_dir=cfg.output_dir,
     )
     target = _output_dir(cfg) / "estimated_config.json"
     write_config(exported, target)
@@ -260,6 +261,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except (ParameterError, EstimationError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
             return 1
 
 

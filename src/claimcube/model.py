@@ -201,6 +201,13 @@ def param_errors(params: ModelParams) -> list[str]:
     if check_shape("expected_counts", params.expected_counts, (n_i,)):
         for i in np.nonzero(params.expected_counts < 0)[0]:
             errs.append(f"expected_counts[{i}] = {params.expected_counts[i]} is negative")
+        # Every claim count, and every sum of counts, is at most the world's
+        # total claims.  Bounding their mean at 2**62 keeps them far below
+        # int64's 2**63 and numpy's Poisson limit (about 9.2e18).
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected here
+            total = float(params.expected_counts.sum())
+        if total > 2**62:
+            errs.append(f"expected_counts sum to {total!r} claims, more than 2**62")
 
     if check_shape("lag_probs", params.lag_probs, (n_j,)):
         for j in np.nonzero(params.lag_probs < 0)[0]:

@@ -22,6 +22,7 @@ from claimcube import (
     write_config,
 )
 from claimcube.cli import main
+from claimcube.config import DEFAULT_OUTPUT_DIR
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -271,7 +272,6 @@ def test_cli_replicate_0_worlds_come_from_the_engine_mapping(tmp_path):
         master_seed=cfg.master_seed,
         statistics=cfg.statistics,
         quantile_levels=cfg.quantile_levels,
-        output_dir=str(out),
     )
     assert json.loads((out / "estimated_config.json").read_text()) == expected
 
@@ -350,6 +350,55 @@ def test_rejected_run_leaves_no_output_directory(tmp_path, command, extra, make_
     out = tmp_path / "never"
     assert main([command, "--config", str(make_config(tmp_path)), "--out", str(out), *extra]) == 1
     assert not out.exists()
+
+
+def counts_config(tmp_path, per_year):
+    mapping = default_config()
+    mapping["model"]["expected_counts"] = {"values": [per_year] * mapping["model"]["occurrence_years"]}
+    path = tmp_path / "counts.json"
+    write_config(mapping, path)
+    return path
+
+
+@pytest.mark.parametrize("per_year", [1e19, 1e300])
+def test_claim_counts_past_int64_are_rejected(tmp_path, capsys, per_year):
+    out = tmp_path / "never"
+    args = ["simulate", "--config", str(counts_config(tmp_path, per_year)), "--replicates", "3"]
+    assert main([*args, "--out", str(out)]) == 1
+    header, line = capsys.readouterr().err.strip().splitlines()
+    assert header == "error: invalid configuration:"
+    assert line.startswith("  - model.expected_counts sum to ")
+    assert not out.exists()
+
+
+def test_claim_counts_just_under_the_bound_simulate(tmp_path):
+    out = tmp_path / "big"
+    args = ["simulate", "--config", str(counts_config(tmp_path, 1e17)), "--replicates", "3"]
+    assert main([*args, "--out", str(out)]) == 0
+    stats = json.loads((out / "summary.json").read_text())["statistics"]["ibnr_count"]
+    assert stats["mean"] == pytest.approx(stats["analytic_mean"], rel=1e-6)
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def allocate(*args):
+        raise MemoryError("Unable to allocate 3.33 PiB for an array with shape (468750000000000,)")
+
+    monkeypatch.setattr("claimcube.model._split_totals", allocate)
+    out = tmp_path / "never"
+    assert main(["calibrate", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line == "error: out of memory (Unable to allocate 3.33 PiB for an array with shape (468750000000000,))"
+    assert not out.exists()
+
+
+def test_calibrate_export_does_not_depend_on_out(tmp_path):
+    cfg = small_config(tmp_path, seed=5)
+    exported = []
+    for out in (tmp_path / "a", tmp_path / "b" / "deeper"):
+        assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+        exported.append((out / "estimated_config.json").read_bytes())
+    assert exported[0] == exported[1]
+    assert load_config(tmp_path / "a" / "estimated_config.json").output_dir == DEFAULT_OUTPUT_DIR
 
 
 def plateau_config(tmp_path):

@@ -126,6 +126,29 @@ def test_world_built_in_code_is_bounded():
         run_monte_carlo(params, 1, 0, ("total_reserve",))
 
 
+def test_claims_built_in_code_are_bounded():
+    def params(expected_counts):
+        return ModelParams(
+            occurrence_years=3,
+            max_lag=1,
+            max_runoff=0,
+            expected_counts=expected_counts,
+            lag_probs=[1.0],
+            survival=[1.0],
+            pay_prob=0.5,
+            severity_mean=10.0,
+            severity_var=20.0,
+        )
+
+    assert param_errors(params([2.0**61, 2.0**60, 2.0**60])) == []
+    too_many = params([2.0**61, 2.0**61, 2.0**52])
+    assert param_errors(too_many) == [f"expected_counts sum to {2.0**62 + 2.0**52!r} claims, more than 2**62"]
+    with pytest.raises(ParameterError, match="expected_counts"):
+        validate_params(too_many)
+    with pytest.raises(ParameterError, match="expected_counts"):
+        run_monte_carlo(too_many, 1, 0, ("total_reserve",))
+
+
 def test_survival_plateau_warns(make_params):
     with pytest.warns(UserWarning, match="plateau"):
         make_params(survival=(1.0, 0.5, 0.5))

@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -36,6 +37,7 @@ from claimcube import (
     triangle_reporting,
     validate_params,
 )
+from claimcube.aggregate import _per_claim_tail_moments
 
 unit = st.floats(0.0, 1.0)
 
@@ -132,20 +134,52 @@ def test_severity_estimates_equal_ndarray_mean_and_var_bit_for_bit(pools, seed):
             assert math.isnan(var[j, k])
 
 
+def _subnormal_floor(params) -> float:
+    """The absolute rounding that subnormal intermediates can carry.
+
+    A product that falls below the normal range is rounded to within an ulp
+    of zero, and may then be multiplied by the other factors of its term: a
+    column's Lambda, and one claim's tail moments, which are at most
+    B = sum_k b_k (b_k = p_k E[W_jk]) and sum_k p_k E[W_jk^2] + 2 B^2.  Each
+    of the I*J*(K+1) cells carries a few such roundings; a relative
+    tolerance alone cannot hold there.
+    """
+    lam = params.expected_counts.max() * params.lag_probs.max()
+    b = (params.pay_prob * params.severity_mean).sum(axis=1).max()
+    b2 = (params.pay_prob * (params.severity_var + params.severity_mean**2)).sum(axis=1).max()
+    return 2 * math.prod(params.dims) * math.ulp(0.0) * (1 + lam) * (1 + b2 + 2 * b * (1 + b))
+
+
 @pytest.mark.filterwarnings("ignore:survival curve plateaus")
 @settings(max_examples=200, deadline=None)
 @given(params=small_params())
+@example(
+    # The exactly rounded mean is 5e-324; a left-to-right float product of the
+    # terms underflows to 0.
+    params=ModelParams(
+        occurrence_years=1,
+        max_lag=1,
+        max_runoff=1,
+        expected_counts=[0.5],
+        lag_probs=[1.0],
+        survival=[1.0, 1.0],
+        pay_prob=[0.0, 5e-324],
+        severity_mean=[[1.0, 2.0]],
+        severity_var=[[0.0, 0.0]],
+    )
+)
 def test_analytic_reserve_means_equal_the_cell_by_cell_expectation(params):
     n_i, n_j, n_k = params.dims
     cells = {"ibnr_count": [], "ibnr_reserve": [], "reported_reserve": []}
     world = []
     for i in range(1, n_i + 1):
         for j in range(n_j):
-            lam = params.expected_counts[i - 1] * params.lag_probs[j]
+            lam = Fraction(params.expected_counts[i - 1]) * Fraction(params.lag_probs[j])
             if i + j > n_i:
                 cells["ibnr_count"].append(lam)
             for k in range(n_k):
-                mean = lam * params.survival[k] * params.pay_prob[k] * params.severity_mean[j, k]
+                mean = lam * Fraction(params.survival[k]) * Fraction(params.pay_prob[k])
+                mean *= Fraction(params.severity_mean[j, k])
                 world.append(mean)
                 if i + j > n_i:
                     cells["ibnr_reserve"].append(mean)
@@ -153,9 +187,67 @@ def test_analytic_reserve_means_equal_the_cell_by_cell_expectation(params):
                     cells["reported_reserve"].append(mean)
     cells["total_reserve"] = cells["ibnr_reserve"] + cells["reported_reserve"]
     moments = analytic_reserve_moments(params)
-    scale = math.fsum(world) + math.fsum(cells["ibnr_count"])
+    scale = float(sum(world) + sum(cells["ibnr_count"]))
+    tol = max(1e-12 * scale, _subnormal_floor(params))
     for name, terms in cells.items():
-        assert moments[name].mean == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-12 * scale), name
+        assert moments[name].mean == pytest.approx(float(sum(terms, Fraction(0))), rel=1e-12, abs=tol), name
+
+
+def _exact_second_moment(params, j: int, years) -> Fraction:
+    """E[Y^2] of the payments of one lag-j claim in the run-off ``years``
+    (ascending), exactly: sum_k eta_k p_k E[W_jk^2] + 2 sum_{k<l} eta_l b_k b_l
+    with b_k = p_k E[W_jk], as A_k A_l = A_l for k < l."""
+    eta = {k: Fraction(params.survival[k]) for k in years}
+    pay = {k: Fraction(params.pay_prob[k]) for k in years}
+    mean = {k: Fraction(params.severity_mean[j, k]) for k in years}
+    b = {k: pay[k] * mean[k] for k in years}
+    square = sum(eta[k] * pay[k] * (Fraction(params.severity_var[j, k]) + mean[k] ** 2) for k in years)
+    cross = sum(eta[l] * b[k] * b[l] for k in years for l in years if k < l)
+    return Fraction(square) + 2 * cross
+
+
+def _early_heavy(years: int, expected_counts) -> ModelParams:
+    """Zero-variance severities of 1e6 for k < 3 and 1e-3 after, K = 10."""
+    return validate_params(
+        ModelParams(
+            occurrence_years=years,
+            max_lag=1,
+            max_runoff=10,
+            expected_counts=expected_counts,
+            lag_probs=[1.0],
+            survival=np.linspace(1.0, 0.5, 11),
+            pay_prob=1.0,
+            severity_mean=[np.where(np.arange(11) < 3, 1e6, 1e-3)],
+            severity_var=0.0,
+        )
+    )
+
+
+@pytest.mark.filterwarnings("ignore:survival curve plateaus")
+@settings(max_examples=200, deadline=None)
+@given(params=small_params())
+@example(params=_early_heavy(1, [10.0]))
+@example(params=_early_heavy(6, [10.0, 10.0, 10.0, 10.0, 0.0, 0.0]))
+def test_analytic_variances_equal_the_exact_tail_second_moments(params):
+    n_i, n_j, n_k = params.dims
+    floor = _subnormal_floor(params)
+    _, second = _per_claim_tail_moments(params)
+    for j in range(n_j):
+        for t in range(n_k + 1):
+            exact = _exact_second_moment(params, j, range(t, n_k))
+            assert second[j, t] == pytest.approx(float(exact), rel=1e-12, abs=floor), (j, t)
+
+    variance = {"ibnr_reserve": Fraction(0), "reported_reserve": Fraction(0)}
+    for i in range(1, n_i + 1):
+        for j in range(n_j):
+            lam = Fraction(params.expected_counts[i - 1]) * Fraction(params.lag_probs[j])
+            future = [k for k in range(n_k) if i + j + k > n_i]
+            name = "ibnr_reserve" if i + j > n_i else "reported_reserve"
+            variance[name] += lam * _exact_second_moment(params, j, future)
+    variance["total_reserve"] = variance["ibnr_reserve"] + variance["reported_reserve"]
+    moments = analytic_reserve_moments(params)
+    for name, exact in variance.items():
+        assert moments[name].variance == pytest.approx(float(exact), rel=1e-12, abs=floor), name
 
 
 @pytest.mark.filterwarnings("ignore:survival curve plateaus")
