@@ -22,6 +22,7 @@ from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS, SUPPORTED_STATI
 from .errors import ParameterError
 from .model import MAX_WORLD_CELLS, ModelParams, make_expected_counts, param_errors
 from .presets import default_config
+from .streams import _UINT64_MAX
 
 __all__ = ["RunConfig", "config_from_params", "load_config", "parse_config", "write_config"]
 
@@ -146,8 +147,8 @@ def parse_config(mapping: dict) -> RunConfig:
         errs.append("run.master_seed: missing (a master seed is required for reproducible runs)")
     else:
         seed = _as_number(seed, "run.master_seed", errs, integer=True)
-        if seed is not None and seed < 0:
-            errs.append(f"run.master_seed: must be >= 0, got {seed}")
+        if seed is not None and not 0 <= seed <= _UINT64_MAX:
+            errs.append(f"run.master_seed: must be an unsigned 64-bit integer (0 to 2**64 - 1), got {seed}")
 
     statistics = run.get("statistics", list(DEFAULT_STATISTICS))
     if not isinstance(statistics, (list, tuple)) or not statistics:

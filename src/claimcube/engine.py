@@ -3,10 +3,11 @@
 Replicates are drawn in blocks of ``B = block_replicates(params)`` worlds,
 ``max(1, BLOCK_CELLS // (I*J*(K+1)))``.  Replicate ``r`` is world ``r % B``
 of block ``r // B``, which the kernel draws from stream id ``r // B`` of the
-master seed; :func:`replicate_path` gives that world alone, and nothing else
-in the package maps a replicate to a stream.  A block of fewer than ``B``
-worlds holds exactly the first worlds of the full block, so replicate ``r``
-does not depend on the number of replicates in the run.
+master seed.  :func:`replicate_path` gives that world alone, and
+:func:`_replicate_loop` draws whole blocks from the same stream ids.  A
+block of fewer than ``B`` worlds holds exactly the first worlds of the full
+block, so replicate ``r`` does not depend on the number of replicates in the
+run.  Every world taken out of a block is a frozen copy made by :func:`_world`.
 
 Every replicate sweep (:func:`run_monte_carlo` and
 :func:`claimcube.chainladder.compare_2d_3d`) runs through one loop,
@@ -27,7 +28,7 @@ import numpy as np
 
 from .aggregate import MomentPair, _world_statistics
 from .errors import ParameterError, _require_integer
-from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, _shared, simulate_path, validate_params
+from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path, validate_params
 from .streams import RandomStream
 
 __all__ = [
@@ -161,12 +162,12 @@ def block_replicates(params: ModelParams) -> int:
 
 
 def _world(block: SimulationPath, b: int, severities=None) -> SimulationPath:
-    """World ``b`` of a block path, as read-only views of the block's tensors."""
+    """World ``b`` of a block path, as frozen copies that do not hold the block."""
     claims = block.claims
     return SimulationPath(
         params=block.params,
-        claims=_shared(ClaimTensor, counts=claims.counts[b], pay_counts=claims.pay_counts[b]),
-        payments=_shared(PaymentTensor, payments=block.payments.payments[b]),
+        claims=ClaimTensor(claims.counts[b], claims.pay_counts[b]),
+        payments=PaymentTensor(block.payments.payments[b]),
         severities=severities,
     )
 
@@ -248,15 +249,8 @@ def run_monte_carlo(
     first_world = []  # filled by the task of block 0 alone
 
     def rows(first: int, block: SimulationPath) -> list:
-        if first == 0:  # copied, so that the run does not hold all of block 0
-            claims = block.claims
-            first_world.append(
-                SimulationPath(
-                    params,
-                    ClaimTensor(claims.counts[0], claims.pay_counts[0]),
-                    PaymentTensor(block.payments.payments[0]),
-                )
-            )
+        if first == 0:
+            first_world.append(_world(block, 0))
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 

@@ -229,13 +229,26 @@ def param_errors(params: ModelParams) -> list[str]:
         for k in np.nonzero((params.pay_prob < 0) | (params.pay_prob > 1))[0]:
             errs.append(f"pay_prob[{k}] = {params.pay_prob[k]} outside [0, 1]")
 
-    if check_shape("severity_mean", params.severity_mean, (n_j, n_k)):
-        for j, k in zip(*np.nonzero(params.severity_mean <= 0)):
-            errs.append(f"severity_mean[{j},{k}] = {params.severity_mean[j, k]} must be > 0")
+    mean, var = params.severity_mean, params.severity_var
+    if mean_ok := check_shape("severity_mean", mean, (n_j, n_k)):
+        for j, k in zip(*np.nonzero(mean <= 0)):
+            errs.append(f"severity_mean[{j},{k}] = {mean[j, k]} must be > 0")
 
-    if check_shape("severity_var", params.severity_var, (n_j, n_k)):
-        for j, k in zip(*np.nonzero(params.severity_var < 0)):
-            errs.append(f"severity_var[{j},{k}] = {params.severity_var[j, k]} is negative")
+    if var_ok := check_shape("severity_var", var, (n_j, n_k)):
+        for j, k in zip(*np.nonzero(var < 0)):
+            errs.append(f"severity_var[{j},{k}] = {var[j, k]} is negative")
+
+    if mean_ok and var_ok:
+        # The kernel draws Gamma(nu * mean**2 / var, var / mean) and the
+        # closed-form moments use var + mean**2: all must be finite.
+        with np.errstate(all="ignore"):  # an overflow is inf, rejected here
+            finite_gamma = np.isfinite(mean * mean / var) & np.isfinite(var / mean)
+            overflows = ~np.isfinite(var + mean * mean) | ((var > 0) & ~finite_gamma)
+        for j, k in zip(*np.nonzero(overflows)):
+            errs.append(
+                f"severity_mean[{j},{k}] = {mean[j, k]} with severity_var {var[j, k]} overflows "
+                "var + mean**2 or the Gamma shape mean**2 / var or scale var / mean"
+            )
 
     return errs
 
@@ -339,12 +352,7 @@ def simulate_counts(stream: RandomStream, params: ModelParams, size: int | None 
     return _shared(ClaimTensor, counts=_frozen(counts), pay_counts=None)
 
 
-def simulate_payments(
-    stream: RandomStream,
-    params: ModelParams,
-    counts: ClaimTensor,
-    retain_severities: bool = False,
-):
+def simulate_payments(stream: RandomStream, params: ModelParams, counts: ClaimTensor):
     """Draw payment counts and cell amounts on top of a count tensor (or block).
 
     Per cell, the payment count ``nu`` is Binomial(active count, pay_prob[k])
@@ -355,14 +363,7 @@ def simulate_payments(
     grows with the number of cells, not of payments.  Cells with zero
     severity variance pay exactly ``nu`` times the mean, without a draw.
 
-    With ``retain_severities`` the individual amounts of the (last) world are
-    drawn afterwards from :attr:`RandomStream.severity_generator`,
-    conditional on the cell totals (see :func:`_split_totals`), so the draws
-    of the plain path and hence every cell total are the same whether or not
-    they are retained.
-
-    Returns ``(pay_counts, PaymentTensor, severities)`` where ``severities``
-    is None unless ``retain_severities`` is set.
+    Returns ``(pay_counts, PaymentTensor)``.
     """
     kernel = params._kernel
     gens = stream.generators
@@ -375,14 +376,7 @@ def simulate_payments(
     del jk  # freed before the draw: a block's peak memory is set here
     shape *= pay_counts.reshape(-1)[drawn]
     payments.reshape(-1)[drawn] = gens[GAMMA].gamma(shape, scale)
-    _frozen(pay_counts)
-    _frozen(payments)
-
-    severities = None
-    if retain_severities:
-        world = (-1,) if pay_counts.ndim == 4 else ()
-        severities = _split_totals(stream.severity_generator, params, pay_counts[world], payments[world])
-    return pay_counts, _shared(PaymentTensor, payments=payments), severities
+    return _frozen(pay_counts), _shared(PaymentTensor, payments=_frozen(payments))
 
 
 def _split_totals(gen, params, pay_counts, payments):
@@ -395,15 +389,15 @@ def _split_totals(gen, params, pay_counts, payments):
     the individual amounts given S.  Each non-empty stochastic pool takes one
     ``standard_gamma`` call, in ascending (j, k) order.  Should a cell's draws
     all underflow to 0 (a tiny shape), S goes to one of its payments chosen
-    uniformly, the shape -> 0 limit of the Dirichlet; these picks take one
-    ``integers`` call after every pool is drawn.  Zero-variance pools pay
-    the mean per payment.
+    uniformly, the shape -> 0 limit of the Dirichlet.  Zero-variance pools
+    pay the mean per payment.
 
     The retained amounts cost 8 bytes per payment.  They are drawn and
     normalised in runs of consecutive pools, each run in its own array of at
     most max(largest pool, I * J * (K+1)) payments, so the working arrays of
     the normalisation are bounded by one run rather than by the world.  Each
-    pool's amounts are a view of its run's array.
+    pool's amounts are a view of its run's array.  A run takes the picks of
+    its own underflowed cells in one ``integers`` call after its pools.
     """
     n_i, _, n_k = pay_counts.shape
     nu = pay_counts.transpose(1, 2, 0).ravel()  # cells by pool (j, k), then occurrence year i
@@ -415,7 +409,6 @@ def _split_totals(gen, params, pay_counts, payments):
     split_cells = np.repeat(stochastic, n_i)
     cap = max(int(sizes.max()), nu.size)
     severities: dict[tuple[int, int], np.ndarray] = {}
-    lumped = []  # per run: (run, starts, lengths, totals) of the cells whose draws all underflowed
     first = offset = 0  # the run's first pool and first payment
     while offset < ends[-1]:
         stop = int(np.searchsorted(ends, offset + cap, side="right"))
@@ -425,7 +418,7 @@ def _split_totals(gen, params, pay_counts, payments):
             if stochastic[p]:
                 gen.standard_gamma(kernel.shape[p], out=pool)
             else:
-                pool.fill(params.severity_mean.flat[p])
+                pool.fill(kernel.fixed_mean.flat[p])
             severities[divmod(int(p), n_k)] = pool
 
         cells = slice(first * n_i, stop * n_i)
@@ -441,15 +434,8 @@ def _split_totals(gen, params, pay_counts, payments):
         run /= np.repeat(np.where(normal, sums, 1.0), lengths)
         run *= np.repeat(np.where(split, run_totals, 1.0), lengths)
         under = split & (sums == 0) & (run_totals > 0)
-        if under.any():
-            lumped.append((run, starts[under], lengths[under], run_totals[under]))
+        run[starts[under] + gen.integers(lengths[under])] = run_totals[under]
         first, offset = stop, int(ends[stop - 1])
-
-    highs = [high for _, _, high, _ in lumped]
-    picks = gen.integers(np.concatenate(highs) if highs else np.empty(0, np.int64))
-    for run, starts, _, cell_totals in lumped:
-        run[starts + picks[: len(starts)]] = cell_totals
-        picks = picks[len(starts) :]
     return severities
 
 
@@ -463,12 +449,21 @@ def simulate_path(
     """Simulate one complete world, or the first ``size`` worlds of the stream's block.
 
     Deterministic given (master_seed, stream_id); a single world is the
-    block's first.  Assumes ``params`` passed :func:`validate_params`.
+    block's first.  With ``retain_severities`` the individual amounts of the
+    (last) world are drawn after the payments, from
+    :attr:`RandomStream.severity_generator`, conditional on the cell totals
+    (see :func:`_split_totals`), so the draws of the plain path and hence
+    every cell total are the same whether or not they are retained.  Assumes
+    ``params`` passed :func:`validate_params`.
     """
     count_tensor = simulate_counts(stream, params, size)
-    pay_counts, payment_tensor, severities = simulate_payments(
-        stream, params, count_tensor, retain_severities=retain_severities
-    )
+    pay_counts, payment_tensor = simulate_payments(stream, params, count_tensor)
+    severities = None
+    if retain_severities:
+        world = () if size is None else (-1,)
+        severities = _split_totals(
+            stream.severity_generator, params, pay_counts[world], payment_tensor.payments[world]
+        )
     claims = _shared(ClaimTensor, counts=count_tensor.counts, pay_counts=pay_counts)
     return SimulationPath(
         params=params, claims=claims, payments=payment_tensor, severities=severities

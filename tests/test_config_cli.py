@@ -379,6 +379,58 @@ def test_claim_counts_just_under_the_bound_simulate(tmp_path):
     assert stats["mean"] == pytest.approx(stats["analytic_mean"], rel=1e-6)
 
 
+def severity_config(tmp_path, mean, var, cells=(2, 3)):
+    mapping = default_config()
+    model = mapping["model"]
+    means, variances = np.array(model["severity_mean"]), np.array(model["severity_var"])
+    means[cells], variances[cells] = mean, var
+    model["severity_mean"], model["severity_var"] = means.tolist(), variances.tolist()
+    path = tmp_path / "severity.json"
+    write_config(mapping, path)
+    return path
+
+
+@pytest.mark.parametrize("mean, var", [(1e300, 1e300), (1e200, 1e-10), (1e154, 1.7e308)])
+def test_severity_cells_that_overflow_are_rejected(tmp_path, capsys, mean, var):
+    out = tmp_path / "never"
+    args = ["simulate", "--config", str(severity_config(tmp_path, mean, var)), "--replicates", "3"]
+    assert main([*args, "--out", str(out)]) == 1
+    header, line = capsys.readouterr().err.strip().splitlines()
+    assert header == "error: invalid configuration:"
+    assert line.startswith("  - model.severity_mean[2,3] = ")
+    assert not out.exists()
+
+
+def test_huge_finite_severities_simulate_without_warnings(tmp_path):
+    out = tmp_path / "huge"
+    cfg = severity_config(tmp_path, 1e150, 1e150, cells=...)
+    r = run_cli("simulate", "--config", str(cfg), "--replicates", "3", "--out", str(out))
+    assert r.returncode == 0 and r.stderr == ""
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+    for stats in summary["statistics"].values():
+        assert np.isfinite([stats["mean"], stats["std_dev"], stats["analytic_mean"], stats["analytic_std"]]).all()
+
+
+@pytest.mark.parametrize("source", ["file", "--seed"])
+def test_master_seed_past_64_bits_is_named(tmp_path, capsys, source):
+    cfg = str(small_config(tmp_path, seed=2**64 if source == "file" else 5))
+    extra = ["--seed", str(2**64)] if source == "--seed" else []
+    for command in ("simulate", "compare", "calibrate"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
+        header, line = capsys.readouterr().err.strip().splitlines()
+        assert header == "error: invalid configuration:"
+        assert line.startswith("  - run.master_seed: ")
+        assert not out.exists()
+
+
+def test_largest_master_seed_simulates(tmp_path):
+    out = tmp_path / "top"
+    args = ["simulate", "--config", str(small_config(tmp_path)), "--seed", str(2**64 - 1)]
+    assert main([*args, "--replicates", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["master_seed"] == 2**64 - 1
+
+
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     def allocate(*args):
         raise MemoryError("Unable to allocate 3.33 PiB for an array with shape (468750000000000,)")

@@ -333,6 +333,15 @@ def test_retained_replicate_inside_a_block_splits_its_own_totals():
         assert math.fsum(amounts) == pytest.approx(totals[j, k], rel=1e-12)
 
 
+def test_worlds_handed_out_of_a_block_own_frozen_arrays():
+    params = default_params()
+    r = block_replicates(params) + 2  # the third world of block 1
+    run = run_monte_carlo(params, r + 1, 8)
+    for world in (replicate_path(params, 8, r), replicate_path(params, 8, r, retain_severities=True), run.first_world):
+        for arr in world_arrays(world):
+            assert arr.flags.owndata and not arr.flags.writeable
+
+
 def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
     # More threads than cores, switching every microsecond: a lost, repeated
     # or misplaced block would change the per-replicate rows or replicate 0's world.

@@ -149,6 +149,31 @@ def test_claims_built_in_code_are_bounded():
         run_monte_carlo(too_many, 1, 0, ("total_reserve",))
 
 
+def test_severity_cells_that_overflow_are_named_built_in_code():
+    mean, var = np.empty((2, 2)), np.empty((2, 2))
+    mean[0, 0], var[0, 0] = 1e-300, 1e10  # the Gamma scale var / mean overflows
+    mean[0, 1], var[0, 1] = 1e200, 1e-10  # the Gamma shape mean**2 / var overflows
+    mean[1, 0], var[1, 0] = 1e154, 1.7e308  # var + mean**2 overflows
+    mean[1, 1], var[1, 1] = 1e150, 0.0  # a point mass whose mean**2 is finite
+    params = ModelParams(
+        occurrence_years=3,
+        max_lag=2,
+        max_runoff=1,
+        expected_counts=5.0,
+        lag_probs=[0.5, 0.5],
+        survival=[1.0, 0.5],
+        pay_prob=0.5,
+        severity_mean=mean,
+        severity_var=var,
+    )
+    names = [e.split(" = ")[0] for e in param_errors(params)]
+    assert names == ["severity_mean[0,0]", "severity_mean[0,1]", "severity_mean[1,0]"]
+    with pytest.raises(ParameterError, match=r"severity_mean\[0,0\]"):
+        validate_params(params)
+    with pytest.raises(ParameterError, match=r"severity_mean\[1,0\]"):
+        run_monte_carlo(params, 1, 0, ("total_reserve",))
+
+
 def test_survival_plateau_warns(make_params):
     with pytest.warns(UserWarning, match="plateau"):
         make_params(survival=(1.0, 0.5, 0.5))
@@ -249,7 +274,7 @@ def test_count_variance_and_runoff_covariance_match_poisson_thinning(make_params
 def test_no_claims_no_payments(make_params):
     params = make_params(expected_counts=0.0)
     counts = simulate_counts(RandomStream(8, 0), params)
-    pay_counts, payments, _ = simulate_payments(RandomStream(8, 1), params, counts)
+    pay_counts, payments = simulate_payments(RandomStream(8, 1), params, counts)
     assert pay_counts.sum() == 0
     assert payments.payments.sum() == 0.0
 
@@ -257,7 +282,7 @@ def test_no_claims_no_payments(make_params):
 def test_degenerate_severities_pay_exactly_mean_times_count(make_params):
     params = make_params(pay_prob=1.0, severity_mean=2.5, severity_var=0.0)
     counts = simulate_counts(RandomStream(9, 0), params)
-    pay_counts, payments, _ = simulate_payments(RandomStream(9, 1), params, counts)
+    pay_counts, payments = simulate_payments(RandomStream(9, 1), params, counts)
     assert np.array_equal(pay_counts, counts.counts)
     assert np.array_equal(payments.payments, counts.counts * 2.5)
 
@@ -278,7 +303,7 @@ def test_compound_mean_matches_oracle(make_params):
     reps = 10_000
     z = np.empty(reps)
     for r in range(reps):
-        _, payments, _ = simulate_payments(RandomStream(77, r), params, counts)
+        _, payments = simulate_payments(RandomStream(77, r), params, counts)
         z[r] = payments.payments[0, 0, 0]
     se = z.std(ddof=1) / math.sqrt(reps)
     assert abs(z.mean() - 500.0) < 3 * se
@@ -300,7 +325,7 @@ def test_compound_variance_matches_oracle(make_params):
     reps = 10_000
     z = np.empty(reps)
     for r in range(reps):
-        _, payments, _ = simulate_payments(RandomStream(78, r), params, counts)
+        _, payments = simulate_payments(RandomStream(78, r), params, counts)
         z[r] = payments.payments[0, 0, 0]
     s = z.std(ddof=1)
     # delta-method SE of the sample std, as in criterion 03
@@ -412,6 +437,10 @@ def test_runs_that_start_and_end_inside_the_pools_reconcile_cell_by_cell(make_pa
     lumped_pools = set()
     for r in range(20):
         path = simulate_path(RandomStream(17, r), params, retain_severities=True)
+        replay = simulate_path(RandomStream(17, r), params, retain_severities=True).severities
+        assert replay.keys() == path.severities.keys() and all(
+            amounts.tobytes() == replay[cell].tobytes() for cell, amounts in path.severities.items()
+        )
         nu, z = path.claims.pay_counts, path.payments.payments
         # more than two runs of max(largest pool, cells): some run starts and ends mid-sequence
         assert nu.sum() > 2 * max(nu.sum(axis=0).max(), nu.size)
