@@ -7,8 +7,9 @@ The development factor for column n is the volume-weighted ratio
 over the rows where both cells are known.  Future cells are filled forward
 by C[m, n+1] = C[m, n] * f_n and the row reserve is the completed ultimate
 minus the latest known cumulative value.  Rows known only at column 0 take
-the product of all remaining factors; a row with no known value cannot be
-completed and is an :class:`EstimationError` naming the row.
+the product of all remaining factors.  A triangle with fewer than 2 rows, a
+zero-volume column or a row with no known value cannot be fitted, and is an
+:class:`EstimationError` naming the first of these it meets.
 
 When the expected triangle is multiplicative (every row proportional to one
 development pattern, e.g. a stationary portfolio), the factor estimates are
@@ -20,8 +21,9 @@ a leading world axis, the projection of a block of worlds, whose members
 share one known region.  Every sum, product and quotient is then taken over
 the stack at once, on contiguous last-axis rows, in the order a single
 triangle uses, so each member's result is bit-identical to its fit alone; a
-single triangle is the stack of one.  :func:`compare_2d_3d` scores each
-block of replicates with one call per stage.
+single triangle is the stack of one.  A stack raises for no member: one that
+cannot be fitted gets a NaN total and, as its note, the error it raises alone.
+:func:`compare_2d_3d` scores each block of replicates with one call per stage.
 """
 
 from __future__ import annotations
@@ -74,27 +76,27 @@ class ChainLadderResult:
     completed: np.ndarray
     reserve_per_row: np.ndarray
     total_reserve_estimate: float | np.ndarray
+    failures: tuple[str, ...]  # [w] = the error world w's fit alone raises (its total is NaN), or ""
 
 
 def chain_ladder(tri: Triangle) -> ChainLadderResult:
     """Estimate development factors and complete a cumulative triangle, or
     each member of a stack of them.
 
-    The members of a stack must share one known region.  If any member
-    cannot be fitted, the stack raises the :class:`EstimationError` of the
-    first column (or row) at which some member fails alone.
+    A triangle that cannot be fitted raises an :class:`EstimationError`; a
+    stack notes each member's error in ``failures`` instead.  The members of
+    a stack must share one known region of at least one column.
     """
     if tri.form != "cumulative":
         raise ParameterError(f"chain_ladder expects a cumulative triangle, got {tri.form!r}")
     single = tri.values.ndim == 2
     cum = tri.values[None] if single else tri.values
     _, n_rows, n_cols = cum.shape
-    if n_rows < 2:
-        raise EstimationError(f"chain ladder needs at least 2 rows, got {n_rows}")
     unknown = np.isnan(cum)
     known = ~unknown[0]
     if (unknown != unknown[0]).any():
         raise ParameterError("chain_ladder expects the triangles of a stack to share one known region")
+    failures = [f"chain ladder needs at least 2 rows, got {n_rows}" if n_rows < 2 else ""] * len(cum)
 
     # cols[n] is column n of every member, (worlds, rows).  The two sums of
     # factor n are last-axis sums of one contiguous (2, worlds, m) array,
@@ -105,16 +107,19 @@ def chain_ladder(tri: Triangle) -> ChainLadderResult:
     sums = np.empty((max(n_cols - 1, 0), 2, len(cum)))  # [n] = column n, n+1 sums over both[:, n]
     for n in range(n_cols - 1):
         np.add.reduce(cols[n : n + 2].compress(both[:, n], axis=-1), axis=-1, out=sums[n])
-        if 0.0 in sums[n, 0].tolist():  # some member's denominator is zero
-            raise EstimationError(
-                f"cannot estimate development factor for column {n}: zero cumulative volume"
-            )
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as IEEE gives them
+    for n, w in zip(*np.nonzero(sums[:, 0] == 0.0)):  # zero denominators, column by column
+        failures[w] = failures[w] or f"cannot estimate development factor for column {n}: zero cumulative volume"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and NaN as IEEE gives them
         factors = sums[:, 1] / sums[:, 0]  # (columns - 1, worlds)
 
     unknown_rows = np.flatnonzero(~known.any(axis=1))
     if unknown_rows.size:
-        raise EstimationError(f"cannot complete row {unknown_rows[0] + 1}: it has no known cumulative value")
+        note = f"cannot complete row {unknown_rows[0] + 1}: it has no known cumulative value"
+        failures = [failure or note for failure in failures]
+    if single and failures[0]:
+        raise EstimationError(failures[0])
+    if not n_cols:  # only a stack gets here without columns: a triangle has raised its note
+        raise ParameterError("chain_ladder expects the triangles of a stack to have at least one column")
     latest = n_cols - 1 - np.argmax(known[:, ::-1], axis=1)
 
     # Fill forward column by column: each future cell is the cell before it
@@ -129,9 +134,11 @@ def chain_ladder(tri: Triangle) -> ChainLadderResult:
 
     reserve_per_row = filled[-1] - cum[:, np.arange(n_rows), latest]
     totals = reserve_per_row.sum(axis=-1)
+    if any(failures):
+        totals[[bool(failure) for failure in failures]] = math.nan
     if single:
-        return ChainLadderResult(factors[0], completed[0], reserve_per_row[0], float(totals[0]))
-    return ChainLadderResult(factors, completed, reserve_per_row, totals)
+        return ChainLadderResult(factors[0], completed[0], reserve_per_row[0], float(totals[0]), tuple(failures))
+    return ChainLadderResult(factors, completed, reserve_per_row, totals, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -175,36 +182,11 @@ ESTIMATOR_TARGETS = {
 }
 
 
-def _chain_ladder_estimates(project, block) -> list[tuple[float, str]]:
-    """``(estimate, note)`` of Chain-Ladder on the ``project`` triangle of each
-    world of ``block``.
-
-    The block's triangles are fitted as one stack.  If that fails, each
-    member is fitted alone, so only the worlds that fail get a NaN estimate,
-    each with its own note.
-    """
-    stack = cumulate(project(block))
-    try:
-        fit = chain_ladder(stack)
-    except EstimationError:
-        pass
-    else:
-        return [(estimate, "") for estimate in fit.total_reserve_estimate.tolist()]
-    estimates = []
-    for values in stack.values:
-        member = Triangle(values, stack.orientation, stack.form, stack.horizon)
-        try:
-            estimates.append((chain_ladder(member).total_reserve_estimate, ""))
-        except EstimationError as exc:
-            estimates.append((math.nan, str(exc)))
-    return estimates
-
-
 def _score_block(_, block) -> list[tuple[dict, dict]]:
     """Simulated reserves and the Chain-Ladder ``(estimate, note)`` of each world of a block."""
     breakdown = reserve_breakdown(block)
     fits = {
-        name: _chain_ladder_estimates(project, block)
+        name: chain_ladder(cumulate(project(block)))
         for name, project in (
             ("chain_ladder_occurrence", triangle_occurrence),
             ("chain_ladder_reporting", triangle_reporting),
@@ -213,10 +195,19 @@ def _score_block(_, block) -> list[tuple[dict, dict]]:
     return [
         (
             {"total_reserve": total, "reported_reserve": reported},
-            {name: estimates[w] for name, estimates in fits.items()},
+            {name: (float(fit.total_reserve_estimate[w]), fit.failures[w]) for name, fit in fits.items()},
         )
         for w, (total, reported) in enumerate(zip(breakdown.total_reserve, breakdown.reported_reserve))
     ]
+
+
+def _rmse(errors: np.ndarray) -> float:
+    """Root mean square of ``errors``, taken over them scaled by the largest where the squares overflow."""
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean(errors**2)))
+    if math.isinf(rmse) and math.isfinite(largest := float(np.abs(errors).max())):
+        rmse = largest * float(np.sqrt(np.mean((errors / largest) ** 2)))
+    return rmse
 
 
 def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Comparison:
@@ -248,6 +239,6 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Com
             replicates_ok=int(errors.size),
             replicates_failed=len(own) - int(errors.size),
             bias=float(errors.mean()) if errors.size else math.nan,
-            rmse=float(np.sqrt(np.mean(errors**2))) if errors.size else math.nan,
+            rmse=_rmse(errors) if errors.size else math.nan,
         )
     return Comparison(records=records, summary=summary)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS, SUPPORTED_STATISTICS
 from .errors import ParameterError
-from .model import MAX_WORLD_CELLS, ModelParams, make_expected_counts, param_errors
+from .model import ModelParams, make_expected_counts, param_errors, world_size_error
 from .presets import default_config
 from .streams import _UINT64_MAX
 
@@ -97,8 +97,8 @@ def parse_config(mapping: dict) -> RunConfig:
 
     # Bound the world before any array is built (base/growth builds one of length I).
     cells = math.prod(max(n or 1, 1) for n in (years, max_lag, (max_runoff or 0) + 1))
-    if too_large := cells > MAX_WORLD_CELLS:
-        errs.append(f"model.occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}")
+    if too_large := world_size_error(cells):
+        errs.append(f"model.{too_large}")
 
     counts_spec = _require(model, "expected_counts", "model", errs)
     expected_counts = None

@@ -69,6 +69,13 @@ __all__ = [
 MAX_WORLD_CELLS = 2**25
 
 
+def world_size_error(cells: int) -> str:
+    """The error of a world of ``cells`` cells above :data:`MAX_WORLD_CELLS`, else ``""``."""
+    if cells > MAX_WORLD_CELLS:
+        return f"occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"
+    return ""
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -183,11 +190,8 @@ def param_errors(params: ModelParams) -> list[str]:
         errs.append(f"max_runoff must be >= 0, got {params.max_runoff}")
     if errs:
         return errs
-    if n_i * n_j * n_k > MAX_WORLD_CELLS:
-        errs.append(
-            f"occurrence_years: the world has I*J*(K+1) = {n_i * n_j * n_k} cells, "
-            f"more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"
-        )
+    if too_large := world_size_error(n_i * n_j * n_k):
+        errs.append(too_large)
 
     def check_shape(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> bool:
         if arr.shape != shape:
@@ -239,10 +243,11 @@ def param_errors(params: ModelParams) -> list[str]:
             errs.append(f"severity_var[{j},{k}] = {var[j, k]} is negative")
 
     if mean_ok and var_ok:
-        # The kernel draws Gamma(nu * mean**2 / var, var / mean) and the
-        # closed-form moments use var + mean**2: all must be finite.
+        # The kernel draws Gamma(nu * shape, scale) and the closed-form
+        # moments use var + mean**2: all must be finite.
         with np.errstate(all="ignore"):  # an overflow is inf, rejected here
-            finite_gamma = np.isfinite(mean * mean / var) & np.isfinite(var / mean)
+            shape, scale = gamma_shape_scale(mean, var)
+            finite_gamma = np.isfinite(shape) & np.isfinite(scale)
             overflows = ~np.isfinite(var + mean * mean) | ((var > 0) & ~finite_gamma)
         for j, k in zip(*np.nonzero(overflows)):
             errs.append(

@@ -130,19 +130,30 @@ def test_chain_ladder_exact_on_multiplicative_triangles():
         assert result.total_reserve_estimate == pytest.approx(expected_total, rel=1e-10)
 
 
-def test_stack_raises_the_error_of_its_failing_member():
+def test_stack_notes_the_error_of_its_failing_member():
     good = [[100.0, 150.0], [120.0, nan]]
     zero = [[0.0, 5.0], [0.0, nan]]
-    with pytest.raises(EstimationError, match="^cannot estimate development factor for column 0: zero cumulative volume$"):
+    note = "cannot estimate development factor for column 0: zero cumulative volume"
+    with pytest.raises(EstimationError, match=f"^{note}$"):
         chain_ladder(cumulative(zero))
-    with pytest.raises(EstimationError, match="^cannot estimate development factor for column 0: zero cumulative volume$"):
-        chain_ladder(cumulative([good, zero], horizon=2))
+    result = chain_ladder(cumulative([good, zero], horizon=2))
+    assert result.failures == ("", note)
+    assert result.total_reserve_estimate[0] == chain_ladder(cumulative(good)).total_reserve_estimate == 60.0
+    assert math.isnan(result.total_reserve_estimate[1])
 
 
 def test_stack_members_must_share_one_known_region():
     stack = [[[100.0, 150.0], [120.0, nan]], [[100.0, nan], [120.0, nan]]]
     with pytest.raises(ParameterError, match="share one known region"):
         chain_ladder(cumulative(stack, horizon=2))
+
+
+def test_stack_without_columns_is_a_parameter_error():
+    # a triangle without columns raises its note; a stack of them has no fit to return
+    with pytest.raises(EstimationError, match="cannot complete row 1"):
+        chain_ladder(cumulative(np.empty((2, 0)), horizon=2))
+    with pytest.raises(ParameterError, match="at least one column"):
+        chain_ladder(cumulative(np.empty((3, 2, 0)), horizon=2))
 
 
 def test_stack_fit_carries_the_world_axis():
@@ -196,6 +207,16 @@ def test_empty_world_comparison_is_exact(make_params):
     assert summary["analytic_3d_mean"].bias == 0.0
     assert summary["chain_ladder_occurrence"].replicates_failed == 5
     assert all(rec.note for rec in comparison.records if math.isnan(rec.estimate))
+
+
+def test_one_occurrence_year_fails_every_chain_ladder_fit(make_params):
+    comparison = compare_2d_3d(make_params(occurrence_years=1), replicates=5, master_seed=45)
+    for name in ("chain_ladder_occurrence", "chain_ladder_reporting"):
+        records = [rec for rec in comparison.records if rec.estimator == name]
+        assert len(records) == 5
+        assert all(math.isnan(rec.estimate) for rec in records)
+        assert {rec.note for rec in records} == {"chain ladder needs at least 2 rows, got 1"}
+        assert comparison.summary[name].replicates_failed == 5
 
 
 def test_one_row_per_estimator_per_replicate(make_params):

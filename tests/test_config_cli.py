@@ -288,6 +288,25 @@ def test_compare_writes_one_row_per_estimator_per_replicate(tmp_path):
     assert len(summary_lines) == 1 + 3
 
 
+def test_compare_rmse_is_finite_when_the_squared_errors_overflow(tmp_path):
+    # severity means and variances of 1e150 give Chain-Ladder errors near
+    # 1e153, whose squares overflow a float although every error is finite
+    mapping = default_config()
+    model = mapping["model"]
+    model["severity_mean"] = model["severity_var"] = [[1e150] * (model["max_runoff"] + 1)] * model["max_lag"]
+    cfg = tmp_path / "huge.json"
+    write_config(mapping, cfg)
+    out = tmp_path / "cmp"
+    r = run_cli("compare", "--config", str(cfg), "--replicates", "20", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "warning:" not in r.stderr
+    with (out / "comparison_summary.csv").open(newline="") as fh:
+        rows = {row["estimator"]: row for row in csv.DictReader(fh)}
+    for name in ("chain_ladder_occurrence", "chain_ladder_reporting"):
+        assert int(rows[name]["replicates_ok"]) > 0
+        assert 1e150 < float(rows[name]["rmse"]) < float("inf")
+
+
 def test_report_renders_prior_outputs(tmp_path):
     cfg = small_config(tmp_path)
     out = tmp_path / "rep"

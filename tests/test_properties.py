@@ -502,14 +502,15 @@ def test_stacked_chain_ladder_equals_each_member_bit_for_bit(steps):
     for w, member in enumerate(members):
         assert stack.values[w].tobytes() == member.values.tobytes()
 
-    got, want = outcome(fit, stack), [outcome(fit, member) for member in members]
-    failures = [fitted for fitted in want if isinstance(fitted, str)]
-    if failures:
-        # the error of the first column (or row) at which some member fails alone
-        assert got in failures
-    else:
-        assert not isinstance(got, str), got
-        for w, fitted in enumerate(want):
+    result = chain_ladder(stack)
+    got = fit(stack)
+    for w, fitted in enumerate(outcome(fit, member) for member in members):
+        if isinstance(fitted, str):
+            # the error this member's fit alone raises, and no total
+            assert result.failures[w] == fitted
+            assert math.isnan(result.total_reserve_estimate[w])
+        else:
+            assert result.failures[w] == ""
             for a, b in zip(got, fitted):
                 assert a[w].shape == b.shape and a[w].tobytes() == b.tobytes()
 
