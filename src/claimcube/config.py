@@ -157,6 +157,7 @@ def parse_config(mapping: dict) -> RunConfig:
         for name in statistics:
             if name not in SUPPORTED_STATISTICS:
                 errs.append(f"run.statistics: unknown statistic {name!r} (supported: {list(SUPPORTED_STATISTICS)})")
+        errs.extend(f"run.statistics: duplicate entry {s!r}" for n, s in enumerate(statistics) if s in statistics[:n])
 
     levels = run.get("quantile_levels", list(DEFAULT_QUANTILE_LEVELS))
     if not isinstance(levels, (list, tuple)):
@@ -165,6 +166,7 @@ def parse_config(mapping: dict) -> RunConfig:
         for lvl in levels:
             if isinstance(lvl, bool) or not isinstance(lvl, (int, float)) or not (0.0 < lvl < 1.0):
                 errs.append(f"run.quantile_levels: level {lvl!r} must lie strictly inside (0, 1)")
+        errs.extend(f"run.quantile_levels: duplicate entry {x!r}" for n, x in enumerate(levels) if x in levels[:n])
 
     output_dir = run.get("output_dir", DEFAULT_OUTPUT_DIR)
     if not isinstance(output_dir, str) or not output_dir:

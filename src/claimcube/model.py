@@ -15,10 +15,10 @@ Generative chain per (occurrence year, lag) column: the reported claim count
 is Poisson with mean ``expected_counts[i] * lag_probs[j]``, independently
 across columns.  ``survival[k]`` is the *cumulative* fraction of reported
 claims still active k years after reporting (``survival[0] = 1``), so a
-claim's last active run-off year L has ``P(L >= k) = survival[k]``.  One
-multinomial splits each column over L, and the count in run-off year k is the
-number of claims with ``L >= k``, with expectation exactly
-``expected_counts[i] * lag_probs[j] * survival[k]``.
+claim's last active run-off year L has ``P(L >= k) = survival[k]``.  Split
+over L, a column's counts are independent Poisson (Poisson colouring); the
+count in run-off year k, of the claims with ``L >= k``, has expectation
+exactly ``expected_counts[i] * lag_probs[j] * survival[k]``.
 
 Each active claim pays in run-off year k with probability ``pay_prob[k]``
 (depending on k only), and payment amounts are Gamma with mean
@@ -30,8 +30,8 @@ only on request, split from the cell totals by a conditional Dirichlet.
 
 The kernel draws a *block* of worlds at once, as tensors with a leading
 world axis ``(n, I, J, K+1)``: one generator call per stage (Poisson,
-multinomial, binomial, Gamma) for the whole block, each stage on its own
-generator of the block's :class:`~claimcube.streams.RandomStream`.  The
+binomial, Gamma) for the whole block, each stage on its own generator of
+the block's :class:`~claimcube.streams.RandomStream`.  The
 first ``n`` worlds of a block do not depend on how many more are drawn, and
 a single world (``size=None``) is the block's first world as ``(I, J, K+1)``
 tensors.  The per-parameter constants of the kernel are computed once per
@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, _require_integer
-from .streams import BINOMIAL, GAMMA, MULTINOMIAL, POISSON, PROB_TOL, RandomStream, gamma_shape_scale
+from .streams import BINOMIAL, GAMMA, POISSON, PROB_TOL, RandomStream, gamma_shape_scale
 
 __all__ = [
     "ClaimTensor",
@@ -65,7 +65,7 @@ __all__ = [
 
 #: Most cells I * J * (K+1) a configured world may have: its three 8-byte
 #: tensors (counts, payment counts, payments) then take 0.75 GiB, and its
-#: draw peaks at about 40 bytes per cell, near 1.25 GiB.
+#: traced draw peaks at 57 bytes per cell when every cell pays, 1.8 GiB.
 MAX_WORLD_CELLS = 2**25
 
 
@@ -339,19 +339,17 @@ def _require_world(path: SimulationPath, function: str) -> None:
 def simulate_counts(stream: RandomStream, params: ModelParams, size: int | None = None) -> ClaimTensor:
     """Draw the active-claim counts of one world, or of a block of ``size`` worlds.
 
-    Two generator calls: Poisson (i, j) columns, then one multinomial over the
-    last active run-off year with probabilities ``survival[k] - survival[k+1]``
-    (``survival[K+1] = 0``); ``counts[..., k]`` counts the claims whose last
-    active year is >= k.  ``size`` must be None or an integer >= 1.  Assumes
-    ``params`` passed :func:`validate_params`.
+    One Poisson call draws the claims of each (i, j) column by last active
+    year L, independently with means ``column_means[i, j] * (survival[L] -
+    survival[L+1])`` (``survival[K+1] = 0``); ``counts[..., k]`` then counts
+    the claims with L >= k.  ``size`` must be None or an integer >= 1.
+    Assumes ``params`` passed :func:`validate_params`.
     """
     if size is not None:
         _require_integer("size", size, 1)
     kernel = params._kernel
-    shape = kernel.column_means.shape if size is None else (size, *kernel.column_means.shape)
-    gens = stream.generators
-    reported = gens[POISSON].poisson(np.broadcast_to(kernel.column_means, shape))
-    counts = gens[MULTINOMIAL].multinomial(reported, kernel.last_active_probs)
+    means = kernel.column_means[:, :, None] * kernel.last_active_probs
+    counts = stream.generators[POISSON].poisson(means, None if size is None else (size, *means.shape))
     # Reverse cumulative sum over k, in place: last active year -> active counts.
     np.cumsum(counts[..., ::-1], axis=-1, out=counts[..., ::-1])
     return _shared(ClaimTensor, counts=_frozen(counts), pay_counts=None)

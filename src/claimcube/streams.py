@@ -2,9 +2,9 @@
 
 Every block of Monte Carlo replicates owns one :class:`RandomStream`,
 addressed by ``(master_seed, stream_id)`` with the block number as stream id.
-A stream holds one generator per stage of the world kernel (Poisson column
-counts, last-active-year multinomial, payment-count binomial, cell-total
-Gamma), the generator of stage ``s`` derived from
+A stream holds one generator per stage of the world kernel (Poisson counts
+per last active year, payment-count binomial, cell-total Gamma), the
+generator of stage ``s`` derived from
 ``SeedSequence([master_seed, stream_id], spawn_key=(s,))``.  Identical pairs
 replay the identical draws bit for bit; distinct stream ids give
 statistically independent substreams.  :class:`numpy.random.SeedSequence`
@@ -34,9 +34,9 @@ from .errors import ParameterError
 
 __all__ = ["RandomStream", "gamma_shape_scale"]
 
-#: Spawn keys of a stream's generators: the kernel's four stages, in the order
+#: Spawn keys of a stream's generators: the kernel's three stages, in the order
 #: a world is drawn, then the retained severities.
-POISSON, MULTINOMIAL, BINOMIAL, GAMMA, SEVERITY = range(5)
+POISSON, BINOMIAL, GAMMA, SEVERITY = range(4)
 
 #: Tolerance on probability-vector normalization.
 PROB_TOL = 1e-9
@@ -63,7 +63,7 @@ class RandomStream:
             value = getattr(self, name)
             if not (0 <= int(value) <= _UINT64_MAX):
                 raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-        self._gens = tuple(self._spawn(stage) for stage in (POISSON, MULTINOMIAL, BINOMIAL, GAMMA))
+        self._gens = tuple(self._spawn(stage) for stage in (POISSON, BINOMIAL, GAMMA))
 
     def _spawn(self, key: int) -> np.random.Generator:
         seq = np.random.SeedSequence([int(self.master_seed), int(self.stream_id)], spawn_key=(key,))
@@ -71,7 +71,7 @@ class RandomStream:
 
     @property
     def generators(self) -> tuple[np.random.Generator, ...]:
-        """The four stage generators (PCG64), indexed by ``POISSON`` ... ``GAMMA``."""
+        """The three stage generators (PCG64), indexed by ``POISSON``, ``BINOMIAL``, ``GAMMA``."""
         return self._gens
 
     @property

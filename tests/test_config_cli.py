@@ -371,6 +371,27 @@ def test_rejected_run_leaves_no_output_directory(tmp_path, command, extra, make_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "calibrate"])
+@pytest.mark.parametrize(
+    "key, entries, named",
+    [
+        ("statistics", ["total_reserve", "total_reserve", "ibnr_count"], "run.statistics: duplicate entry 'total_reserve'"),
+        ("quantile_levels", [0.95, 0.75, 0.95], "run.quantile_levels: duplicate entry 0.95"),
+    ],
+)
+def test_duplicate_run_entries_are_named_and_leave_no_output(tmp_path, capsys, command, key, entries, named):
+    # A duplicate used to be dropped silently: simulate reported three
+    # distributions and wrote two.
+    path = small_config(tmp_path)
+    mapping = json.loads(path.read_text())
+    mapping["run"][key] = entries
+    write_config(mapping, path)
+    out = tmp_path / "never"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: invalid configuration:", f"  - {named}"]
+    assert not out.exists()
+
+
 def counts_config(tmp_path, per_year):
     mapping = default_config()
     mapping["model"]["expected_counts"] = {"values": [per_year] * mapping["model"]["occurrence_years"]}

@@ -268,6 +268,42 @@ def test_count_variance_and_runoff_covariance_match_poisson_thinning(make_params
         assert np.all(np.abs(estimate - lam) < 4 * se)
 
 
+def test_counts_by_last_active_year_are_independent_poisson(make_params):
+    # Split over its last active year L, a Poisson(lam_ij) column gives
+    # independent Poisson(lam_ij * q_L) closing counts D_L, q_L = s_L - s_L+1
+    # (Poisson colouring), and N_ijk = sum of D_L over L >= k.  So
+    # Cov(N_ijk, N_ijl) = lam_ij * s_l for k <= l, distinct columns are
+    # independent, and the D_L are uncorrelated with variance lam_ij * q_L.
+    params = make_params(
+        occurrence_years=2,
+        max_lag=2,
+        max_runoff=3,
+        expected_counts=(30.0, 50.0),
+        lag_probs=(0.4, 0.6),
+        survival=(1.0, 0.7, 0.4, 0.15),
+    )
+    blocks, size = 8, 500
+    reps = blocks * size
+    counts = np.concatenate([simulate_counts(RandomStream(43, b), params, size=size).counts for b in range(blocks)])
+    columns = counts.reshape(reps, -1, params.max_runoff + 1)  # (replicate, column (i, j), k)
+    closing = columns - np.concatenate([columns[..., 1:], np.zeros_like(columns[..., :1])], axis=-1)
+    lam = np.outer(params.expected_counts, params.lag_probs).reshape(-1, 1)
+    survival = params.survival
+    q = survival - np.append(survival[1:], 0.0)
+
+    def assert_covariance(x, y, expected):
+        products = (x - x.mean(axis=0)) * (y - y.mean(axis=0))
+        estimate = products.sum(axis=0) / (reps - 1)
+        se = products.std(axis=0, ddof=1) / math.sqrt(reps)
+        assert np.all(np.abs(estimate - expected) < 4 * se)
+
+    k, l = np.triu_indices(params.max_runoff + 1)
+    assert_covariance(columns[..., k], columns[..., l], lam * survival[l])
+    c, d = np.triu_indices(columns.shape[1], 1)
+    assert_covariance(columns[:, c, :, None], columns[:, d, None, :], 0.0)
+    assert_covariance(closing[..., k], closing[..., l], np.where(k == l, lam * q[l], 0.0))
+
+
 # --- payment simulation -----------------------------------------------------
 
 
@@ -472,6 +508,40 @@ def test_retained_world_memory_is_its_amounts_plus_one_run():
     payments, run = int(nu.sum()), max(int(nu.sum(axis=0).max()), nu.size)
     assert payments > 500_000
     assert peak < 8 * payments + 192 * run, f"peak {peak} B for {payments} payments, runs of {run}"
+
+
+def test_plain_draw_memory_per_cell_is_bounded():
+    # Every cell pays, so the payment stage draws every cell and its index,
+    # Gamma shape, scale and draw arrays set the peak: 56.4-57.0 B per cell
+    # when the counts came from a Poisson column and a multinomial split.  A
+    # per-cell array of the count draw kept past it, or cached on the
+    # params, would add 8 B per cell to the peak or to what is held after.
+    n = 64
+    params = validate_params(
+        ModelParams(
+            occurrence_years=n,
+            max_lag=n,
+            max_runoff=40,
+            expected_counts=1e5,
+            lag_probs=np.full(n, 1 / n),
+            survival=np.linspace(1.0, 0.05, 41),
+            pay_prob=0.5,
+            severity_mean=10.0,
+            severity_var=20.0,
+        )
+    )
+    cells = n * n * 41
+    stream = RandomStream(2026, 0)
+    tracemalloc.start()
+    try:
+        path = simulate_path(stream, params, size=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(path.claims.pay_counts > 0)
+    assert peak < 58 * cells, f"peak {peak / cells:.1f} B per cell"
+    # the world's three 8-byte tensors and the params' kernel constants
+    assert held < 26 * cells, f"{held / cells:.1f} B per cell held after the draw"
 
 
 def test_million_claims_per_year_world_runs_in_bounded_memory():
