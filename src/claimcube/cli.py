@@ -22,7 +22,6 @@ from .chainladder import compare_2d_3d
 from .config import config_from_params, load_config, write_config
 from .engine import block_replicates, build_risk_report, replicate_path, run_monte_carlo
 from .errors import EstimationError, ParameterError
-from .model import validate_params
 
 __all__ = ["main"]
 
@@ -118,7 +117,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _run_config(args)
-    validate_params(cfg.params)
     world = replicate_path(cfg.params, cfg.master_seed, 0, retain_severities=True)
     estimated = calibrated_params(world, fallback=cfg.params)
     # The export keeps the default run.output_dir, not --out, so that its

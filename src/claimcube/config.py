@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS, SUPPORTED_STATISTICS
+from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS, run_errors
 from .errors import ParameterError
 from .model import ModelParams, make_expected_counts, param_errors, world_size_error
 from .presets import default_config
-from .streams import _UINT64_MAX
 
 __all__ = ["RunConfig", "config_from_params", "load_config", "parse_config", "write_config"]
 
@@ -77,9 +76,9 @@ def _as_array(value, path: str, errs: list[str], ndim: int):
 def parse_config(mapping: dict) -> RunConfig:
     """Build a validated :class:`RunConfig` from a configuration mapping.
 
-    Raises :class:`ParameterError` listing every offending key.  The model
-    is checked here through :func:`param_errors`; the survival-plateau
-    warning of :func:`validate_params` is left to the run that uses it.
+    Raises :class:`ParameterError` listing every offending key.  The model is
+    checked by :func:`param_errors`, the run settings by the Python API's rules,
+    :func:`~claimcube.engine.run_errors`; missing keys and ``output_dir`` here.
     """
     errs: list[str] = []
     model = mapping.get("model")
@@ -139,34 +138,11 @@ def parse_config(mapping: dict) -> RunConfig:
         )
         errs.extend(f"model.{msg}" for msg in param_errors(params))
 
-    replicates = _as_number(_require(run, "replicates", "run", errs), "run.replicates", errs, integer=True)
-    if replicates is not None and replicates < 1:
-        errs.append(f"run.replicates: must be >= 1, got {replicates}")
-    seed = run.get("master_seed")
-    if seed is None:
+    _require(run, "replicates", "run", errs)
+    if "master_seed" not in run:
         errs.append("run.master_seed: missing (a master seed is required for reproducible runs)")
-    else:
-        seed = _as_number(seed, "run.master_seed", errs, integer=True)
-        if seed is not None and not 0 <= seed <= _UINT64_MAX:
-            errs.append(f"run.master_seed: must be an unsigned 64-bit integer (0 to 2**64 - 1), got {seed}")
-
-    statistics = run.get("statistics", list(DEFAULT_STATISTICS))
-    if not isinstance(statistics, (list, tuple)) or not statistics:
-        errs.append(f"run.statistics: expected a non-empty list, got {statistics!r}")
-    else:
-        for name in statistics:
-            if name not in SUPPORTED_STATISTICS:
-                errs.append(f"run.statistics: unknown statistic {name!r} (supported: {list(SUPPORTED_STATISTICS)})")
-        errs.extend(f"run.statistics: duplicate entry {s!r}" for n, s in enumerate(statistics) if s in statistics[:n])
-
-    levels = run.get("quantile_levels", list(DEFAULT_QUANTILE_LEVELS))
-    if not isinstance(levels, (list, tuple)):
-        errs.append(f"run.quantile_levels: expected a list, got {levels!r}")
-    else:
-        for lvl in levels:
-            if isinstance(lvl, bool) or not isinstance(lvl, (int, float)) or not (0.0 < lvl < 1.0):
-                errs.append(f"run.quantile_levels: level {lvl!r} must lie strictly inside (0, 1)")
-        errs.extend(f"run.quantile_levels: duplicate entry {x!r}" for n, x in enumerate(levels) if x in levels[:n])
+    settings = ("replicates", "master_seed", "statistics", "quantile_levels")
+    errs.extend(f"run.{msg}" for msg in run_errors(**{key: run[key] for key in settings if key in run}))
 
     output_dir = run.get("output_dir", DEFAULT_OUTPUT_DIR)
     if not isinstance(output_dir, str) or not output_dir:
@@ -177,10 +153,10 @@ def parse_config(mapping: dict) -> RunConfig:
 
     return RunConfig(
         params=params,
-        replicates=int(replicates),
-        master_seed=int(seed),
-        statistics=tuple(statistics),
-        quantile_levels=tuple(float(x) for x in levels),
+        replicates=int(run["replicates"]),
+        master_seed=int(run["master_seed"]),
+        statistics=tuple(run.get("statistics", DEFAULT_STATISTICS)),
+        quantile_levels=tuple(float(x) for x in run.get("quantile_levels", DEFAULT_QUANTILE_LEVELS)),
         output_dir=output_dir,
     )
 

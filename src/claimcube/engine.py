@@ -8,6 +8,7 @@ master seed.  :func:`replicate_path` gives that world alone, and
 block of fewer than ``B`` worlds holds exactly the first worlds of the full
 block, so replicate ``r`` does not depend on the number of replicates in the
 run.  Every world taken out of a block is a frozen copy made by :func:`_world`.
+Run settings follow :func:`run_errors`, the rules of configuration files.
 
 Every replicate sweep (:func:`run_monte_carlo` and
 :func:`claimcube.chainladder.compare_2d_3d`) runs through one loop,
@@ -23,13 +24,14 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
 from .aggregate import MomentPair, _world_statistics
 from .errors import ParameterError, _require_integer
 from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path, validate_params
-from .streams import RandomStream
+from .streams import RandomStream, seed_error
 
 __all__ = [
     "BLOCK_CELLS",
@@ -43,6 +45,7 @@ __all__ = [
     "build_risk_report",
     "expected_shortfall",
     "replicate_path",
+    "run_errors",
     "run_monte_carlo",
     "value_at_risk",
 ]
@@ -81,14 +84,46 @@ class EmpiricalDistribution:
         return int(self.samples.size)
 
 
-def _check_level(level: float) -> None:
-    if not (0.0 < level < 1.0):
-        raise ParameterError(f"level must lie strictly inside (0, 1), got {level!r}")
+def run_errors(
+    replicates=1, master_seed=0, statistics=DEFAULT_STATISTICS, quantile_levels=DEFAULT_QUANTILE_LEVELS
+) -> list[str]:
+    """Every broken run-setting rule as ``"<setting>: <what is wrong>"``; the defaults are valid.
+
+    ``replicates`` is an integer >= 1, ``master_seed`` one in 0 .. 2**64 - 1, ``statistics``
+    a non-empty list or tuple of distinct :data:`SUPPORTED_STATISTICS` names, ``quantile_levels``
+    a list or tuple of distinct numbers strictly inside (0, 1); a bool is no number.
+    """
+    errs: list[str] = []
+    if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
+        errs.append(f"replicates: expected an integer >= 1, got {replicates!r}")
+    if seed := seed_error("master_seed", master_seed):
+        errs.append(seed)
+    if not isinstance(statistics, (list, tuple)) or not statistics:
+        errs.append(f"statistics: expected a non-empty list, got {statistics!r}")
+    else:
+        supported = list(SUPPORTED_STATISTICS)
+        errs.extend(f"statistics: unknown statistic {s!r} (supported: {supported})" for s in statistics if s not in supported)
+        errs.extend(f"statistics: duplicate entry {s!r}" for n, s in enumerate(statistics) if s in statistics[:n])
+    if not isinstance(quantile_levels, (list, tuple)):
+        errs.append(f"quantile_levels: expected a list, got {quantile_levels!r}")
+    else:
+        for n, x in enumerate(quantile_levels):
+            if isinstance(x, bool) or not isinstance(x, Real) or not 0.0 < x < 1.0:
+                errs.append(f"quantile_levels: level {x!r} must lie strictly inside (0, 1)")
+            if x in quantile_levels[:n]:
+                errs.append(f"quantile_levels: duplicate entry {x!r}")
+    return errs
+
+
+def _require_run(**settings) -> None:
+    """Raise a :class:`ParameterError` naming every rule of :func:`run_errors` that ``settings`` break."""
+    if errs := run_errors(**settings):
+        raise ParameterError("; ".join(errs))
 
 
 def value_at_risk(dist: EmpiricalDistribution, level: float) -> float:
     """Empirical VaR: the order statistic at 1-based rank ceil(level * R)."""
-    _check_level(level)
+    _require_run(quantile_levels=(level,))
     n = dist.replicate_count
     if n == 0:
         raise ValueError("value_at_risk of an empty distribution")
@@ -99,7 +134,7 @@ def value_at_risk(dist: EmpiricalDistribution, level: float) -> float:
 
 def expected_shortfall(dist: EmpiricalDistribution, level: float) -> float:
     """Mean of the ceil((1 - level) * R) largest samples; >= VaR at the same level."""
-    _check_level(level)
+    _require_run(quantile_levels=(level,))
     n = dist.replicate_count
     if n == 0:
         raise ValueError("expected_shortfall of an empty distribution")
@@ -134,6 +169,7 @@ def build_risk_report(
     A single-replicate distribution reports a standard deviation of 0 with a
     warning rather than failing.
     """
+    _require_run(quantile_levels=levels)
     n = dist.replicate_count
     if n == 0:
         raise ValueError("risk report of an empty distribution")
@@ -197,10 +233,10 @@ def _replicate_loop(
     block whose first replicate is ``first``.  With ``workers > 1`` (and more
     than one CPU) the blocks run on pool threads, at most ``workers``,
     block-count and CPU-count of them, also when the run is a single block;
-    the calling thread only collects.  Validates ``params``.
+    the calling thread only collects.  Validates ``params`` and the settings.
     """
     validate_params(params)
-    _require_integer("replicates", replicates, 1)
+    _require_run(replicates=replicates, master_seed=master_seed)
     _require_integer("workers", workers, 1)
     size = block_replicates(params)
     starts = range(0, replicates, size)
@@ -235,16 +271,12 @@ def run_monte_carlo(
 ) -> MonteCarloRun:
     """Run independent replicates and collect per-replicate reserve statistics.
 
-    Supported statistic names are those in :data:`SUPPORTED_STATISTICS`.
-    The result also holds replicate 0's world, equal to :func:`replicate_path`
-    of replicate 0, so that ``simulate`` does not draw it a second time.
+    The settings follow the rules of :func:`run_errors`.  The result also
+    holds replicate 0's world, equal to :func:`replicate_path` of replicate 0,
+    so that ``simulate`` does not draw it a second time.
     """
-    names = () if isinstance(statistics, str) else tuple(statistics)
-    if not names:
-        raise ParameterError(f"statistics must be a non-empty sequence of names, got {statistics!r}")
-    bad = [n for n in names if n not in SUPPORTED_STATISTICS]
-    if bad:
-        raise ParameterError(f"unknown statistics {bad}; supported: {list(SUPPORTED_STATISTICS)}")
+    _require_run(statistics=statistics)
+    names = tuple(statistics)
 
     first_world = []  # filled by the task of block 0 alone
 

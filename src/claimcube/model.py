@@ -40,7 +40,6 @@ tensors.  The per-parameter constants of the kernel are computed once per
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -259,22 +258,10 @@ def param_errors(params: ModelParams) -> list[str]:
 
 
 def validate_params(params: ModelParams) -> ModelParams:
-    """Return ``params`` unchanged if valid, else raise listing every violation.
-
-    A plateau in the survival curve (equal consecutive positive values) is
-    accepted with a warning; calibrated real-world curves can plateau.
-    """
-    errs = param_errors(params)
-    if errs:
+    """Return ``params`` if :func:`param_errors` finds nothing, else raise listing
+    every violation.  Never warns: a survival curve may plateau and still close."""
+    if errs := param_errors(params):
         raise ParameterError("invalid model parameters:\n  - " + "\n  - ".join(errs))
-    eta = params.survival
-    flat = np.nonzero((np.diff(eta) == 0) & (eta[:-1] > 0))[0]
-    if flat.size:
-        warnings.warn(
-            f"survival curve plateaus at k={int(flat[0]) + 1}; claims there never close",
-            UserWarning,
-            stacklevel=2,
-        )
     return params
 
 

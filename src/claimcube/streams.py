@@ -27,6 +27,7 @@ handles without a draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -41,7 +42,13 @@ POISSON, BINOMIAL, GAMMA, SEVERITY = range(4)
 #: Tolerance on probability-vector normalization.
 PROB_TOL = 1e-9
 
-_UINT64_MAX = 2**64 - 1
+
+def seed_error(name: str, value) -> str | None:
+    """``"<name>: <what is wrong>"`` unless ``value`` is a seed or stream id: an
+    integer, not a bool, in 0 .. 2**64 - 1 (an unsigned 64-bit integer)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not 0 <= value < 2**64:
+        return f"{name}: expected an integer in 0 .. 2**64 - 1, got {value!r}"
+    return None
 
 
 @dataclass(eq=False)
@@ -60,9 +67,8 @@ class RandomStream:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
-            value = getattr(self, name)
-            if not (0 <= int(value) <= _UINT64_MAX):
-                raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+            if error := seed_error(name, getattr(self, name)):
+                raise ParameterError(error)
         self._gens = tuple(self._spawn(stage) for stage in (POISSON, BINOMIAL, GAMMA))
 
     def _spawn(self, key: int) -> np.random.Generator:

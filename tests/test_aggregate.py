@@ -311,7 +311,6 @@ def test_hand_enumerated_total_reserve_mean():
     assert analytic_reserve_moments(params)["total_reserve"].mean == pytest.approx(100.0)
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 def test_analytic_mean_equals_brute_force_on_random_parameters():
     rng = np.random.default_rng(123)
     for _ in range(25):

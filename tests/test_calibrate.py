@@ -83,7 +83,6 @@ def test_zero_claims_is_an_estimation_error():
 # --- survival -------------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 def test_no_closures_estimates_all_ones(make_params):
     params = make_params(survival=(1.0, 1.0, 1.0), expected_counts=80.0)
     path = simulate_path(RandomStream(51, 0), params)

@@ -186,7 +186,6 @@ def poisson_only_params():
     )
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 def test_degenerate_model_makes_chain_ladder_exact_per_replicate():
     params = poisson_only_params()
     comparison = compare_2d_3d(params, replicates=30, master_seed=41)

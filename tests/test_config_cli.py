@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -9,20 +10,27 @@ import numpy as np
 import pytest
 
 from claimcube import (
+    EmpiricalDistribution,
     ParameterError,
+    RandomStream,
     block_replicates,
+    build_risk_report,
     calibrated_params,
+    compare_2d_3d,
     config_from_params,
     default_config,
+    default_params,
     load_config,
     parse_config,
     replicate_path,
+    run_monte_carlo,
     triangle_occurrence,
     triangle_reporting,
     write_config,
 )
 from claimcube.cli import main
 from claimcube.config import DEFAULT_OUTPUT_DIR
+from claimcube.engine import SUPPORTED_STATISTICS, run_errors
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,6 +113,62 @@ def test_huge_occurrence_years_named(years):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
+SEED_RANGE = "expected an integer in 0 .. 2**64 - 1"
+
+#: (setting, bad value, the message configuration files and the Python API give)
+BAD_RUN_SETTINGS = [
+    ("replicates", 0, "replicates: expected an integer >= 1, got 0"),
+    ("replicates", 2.5, "replicates: expected an integer >= 1, got 2.5"),
+    ("replicates", True, "replicates: expected an integer >= 1, got True"),
+    ("master_seed", 1.7, f"master_seed: {SEED_RANGE}, got 1.7"),
+    ("master_seed", True, f"master_seed: {SEED_RANGE}, got True"),
+    ("master_seed", -1, f"master_seed: {SEED_RANGE}, got -1"),
+    ("master_seed", 2**64, f"master_seed: {SEED_RANGE}, got {2**64}"),
+    ("statistics", ["total_reserve", "total_reserve"], "statistics: duplicate entry 'total_reserve'"),
+    ("statistics", "total_reserve", "statistics: expected a non-empty list, got 'total_reserve'"),
+    ("statistics", [], "statistics: expected a non-empty list, got []"),
+    ("statistics", ["bogus"], f"statistics: unknown statistic 'bogus' (supported: {list(SUPPORTED_STATISTICS)})"),
+    ("quantile_levels", [0.9, 0.9, 0.5], "quantile_levels: duplicate entry 0.9"),
+    ("quantile_levels", [0.5, 1.0], "quantile_levels: level 1.0 must lie strictly inside (0, 1)"),
+    ("quantile_levels", [True], "quantile_levels: level True must lie strictly inside (0, 1)"),
+    ("quantile_levels", 0.9, "quantile_levels: expected a list, got 0.9"),
+]
+
+
+def api_calls(key, value):
+    """Every Python entry point that takes run setting ``key``, called with ``value``.
+
+    Each rejects the value before drawing a world.
+    """
+    params = default_params()
+    if key == "replicates":
+        return [lambda: run_monte_carlo(params, value, 1), lambda: compare_2d_3d(params, value, 1)]
+    if key == "master_seed":
+        return [
+            lambda: run_monte_carlo(params, 3, value),
+            lambda: compare_2d_3d(params, 3, value),
+            lambda: replicate_path(params, value, 0),
+            lambda: RandomStream(value),
+        ]
+    if key == "statistics":
+        return [lambda: run_monte_carlo(params, 3, 1, value)]
+    return [lambda: build_risk_report(EmpiricalDistribution([1.0, 2.0]), value)]
+
+
+@pytest.mark.parametrize("key, value, message", BAD_RUN_SETTINGS)
+def test_config_files_and_the_python_api_reject_a_run_setting_alike(key, value, message):
+    assert run_errors(**{key: value}) == [message]
+    mapping = default_config()
+    mapping["run"][key] = value
+    with pytest.raises(ParameterError) as err:
+        parse_config(mapping)
+    assert str(err.value).splitlines() == ["invalid configuration:", f"  - run.{message}"]
+    for call in api_calls(key, value):
+        with pytest.raises(ParameterError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_config_round_trip_is_lossless(tmp_path, make_params):
@@ -502,12 +566,61 @@ def plateau_config(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare", "calibrate"])
-def test_survival_plateau_warns_once_per_command(tmp_path, command):
+def test_survival_plateau_runs_without_stderr(tmp_path, command):
+    # A plateau only means that no claim closes in that year.
     r = run_cli(command, "--config", str(plateau_config(tmp_path)), "--out", str(tmp_path / "o"))
     assert r.returncode == 0, r.stderr
-    assert r.stderr.count("survival curve plateaus") == 1
-    assert r.stderr == "warning: survival curve plateaus at k=2; claims there never close\n"
-    assert ".py" not in r.stderr
+    assert r.stderr == ""
+
+
+def edge_world(name):
+    """The default configuration turned into one of three edge worlds."""
+    mapping = default_config()
+    model = mapping["model"]
+    if name == "tiny_shape":
+        # Default curves at 300x counts with severity mean 10 and variance 1e8
+        # (Gamma shape 1e-6): calibrate's retained draw spans several runs of
+        # pools, and most runs lump cells whose draws all underflow to 0.
+        model["expected_counts"] = {"values": (300 * default_params().expected_counts).tolist()}
+        model["severity_mean"] = [[10.0] * (model["max_runoff"] + 1)] * model["max_lag"]
+        model["severity_var"] = [[1e8] * (model["max_runoff"] + 1)] * model["max_lag"]
+    elif name == "sparse":
+        # 4 expected claims a year: Chain-Ladder cannot fit many worlds, so
+        # most blocks mix fitted worlds with worlds noted as failures.
+        model["expected_counts"] = {"base": 4.0, "growth": 0.0}
+    else:
+        # Lag 1 has probability 0, and the survival curve plateaus at 0.8 and
+        # reaches 0 at k = 5, so several last-active years have probability 0
+        # and their Poisson means are 0.
+        lags = model["lag_probs"]
+        lags[0], lags[1] = lags[0] + lags[1], 0.0
+        model["survival"] = [1.0, 0.8, 0.8, 0.5, 0.2] + [0.0] * (model["max_runoff"] - 4)
+    return mapping
+
+
+@pytest.mark.parametrize("world", ["tiny_shape", "sparse", "closing"])
+def test_edge_world_runs_repeat_byte_for_byte_and_quietly(tmp_path, capsys, world):
+    cfg = tmp_path / f"{world}.json"
+    write_config(edge_world(world), cfg)
+
+    def run(command, out, *extra):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / out), *extra]) == 0
+        return read_all_outputs(tmp_path / out)
+
+    if world == "tiny_shape":
+        assert run("calibrate", "a") == run("calibrate", "b")
+    else:
+        compared = run("compare", "a", "--replicates", "30")
+        assert compared == run("compare", "b", "--replicates", "30")
+    if world == "sparse":
+        summary = io.StringIO(compared["comparison_summary.csv"].decode())
+        rows = {row["estimator"]: row for row in csv.DictReader(summary)}
+        for name in ("chain_ladder_occurrence", "chain_ladder_reporting"):
+            assert int(rows[name]["replicates_failed"]) > 0, rows[name]
+    if world == "closing":
+        simulated = run("simulate", "w1", "--replicates", "30", "--workers", "1")
+        assert simulated == run("simulate", "w4", "--replicates", "30", "--workers", "4")
+    assert capsys.readouterr().err == ""
 
 
 def io_failure_case(tmp_path, case):

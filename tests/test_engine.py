@@ -198,9 +198,9 @@ def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
 
 def test_unknown_statistic_rejected(make_params):
     for statistics, message in (
-        (("nope",), "unknown statistics"),
-        ((), "statistics must"),  # a config with an empty list is rejected too
-        ("total_reserve", "statistics must"),  # not read as the names 't', 'o', ...
+        (("nope",), "statistics: unknown statistic 'nope'"),
+        ((), "statistics: expected a non-empty list"),  # a config with an empty list is rejected too
+        ("total_reserve", "statistics: expected a non-empty list"),  # not read as the names 't', 'o', ...
     ):
         with pytest.raises(ParameterError, match=message):
             run_monte_carlo(make_params(), 2, 1, statistics=statistics)

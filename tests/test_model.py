@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,9 +175,12 @@ def test_severity_cells_that_overflow_are_named_built_in_code():
         run_monte_carlo(params, 1, 0, ("total_reserve",))
 
 
-def test_survival_plateau_warns(make_params):
-    with pytest.warns(UserWarning, match="plateau"):
+def test_survival_plateau_validates_without_warning(make_params):
+    # A plateau only means that no claim closes in that year.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         make_params(survival=(1.0, 0.5, 0.5))
+        make_params(max_runoff=3, survival=(1.0, 0.5, 0.5, 0.0))
 
 
 def test_scalar_broadcast_convenience(make_params):

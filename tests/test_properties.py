@@ -74,7 +74,6 @@ def small_params(draw):
     )
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 @settings(max_examples=60, deadline=None)
 @given(params=small_params(), seed=st.integers(0, 2**32 - 1))
 def test_retained_amounts_split_the_plain_cell_totals(params, seed):
@@ -150,7 +149,6 @@ def _subnormal_floor(params) -> float:
     return 2 * math.prod(params.dims) * math.ulp(0.0) * (1 + lam) * (1 + b2 + 2 * b * (1 + b))
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 @settings(max_examples=200, deadline=None)
 @given(params=small_params())
 @example(
@@ -223,7 +221,6 @@ def _early_heavy(years: int, expected_counts) -> ModelParams:
     )
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 @settings(max_examples=200, deadline=None)
 @given(params=small_params())
 @example(params=_early_heavy(1, [10.0]))
@@ -250,7 +247,6 @@ def test_analytic_variances_equal_the_exact_tail_second_moments(params):
         assert moments[name].variance == pytest.approx(float(exact), rel=1e-12, abs=floor), name
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 @settings(max_examples=60, deadline=None)
 @given(params=small_params(), seed=st.integers(0, 2**32 - 1))
 def test_counts_follow_the_shape_of_the_survival_curve(params, seed):
@@ -565,7 +561,6 @@ def test_config_fuzz_raises_only_parameter_errors(mapping):
 # --- export and calibration round trips ------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 @settings(max_examples=200, deadline=None)
 @given(params=small_params())
 def test_config_export_round_trips_every_model_field_bit_for_bit(params):
@@ -579,7 +574,6 @@ def test_config_export_round_trips_every_model_field_bit_for_bit(params):
             assert type(parsed) is type(original) and parsed == original, field.name
 
 
-@pytest.mark.filterwarnings("ignore:survival curve plateaus")
 @settings(max_examples=200, deadline=None)
 @given(params=small_params(), seed=st.integers(0, 2**32 - 1))
 def test_calibrated_params_of_a_retained_world_validate(params, seed):
