@@ -281,8 +281,8 @@ def analytic_reserve_moments(params: ModelParams) -> dict[str, MomentPair]:
     Returns moment pairs for ``ibnr_count``, ``ibnr_reserve``,
     ``reported_reserve`` and ``total_reserve``.
     """
+    lam_col = params._kernel.column_means  # the gate, before the per-cell table
     cells = _classification(*params.dims)
-    lam_col = params._kernel.column_means
     ibnr_cols, rep_mask = cells.ibnr_column, ~cells.ibnr_column
 
     # One claim's tail moments from each (i, j) column's first future year on.

@@ -77,7 +77,8 @@ def parse_config(mapping: dict) -> RunConfig:
     """Build a validated :class:`RunConfig` from a configuration mapping.
 
     Raises :class:`ParameterError` listing every offending key.  The model is
-    checked by :func:`param_errors`, the run settings by the Python API's rules,
+    checked by :func:`param_errors`, whose result the parameter set keeps for
+    the kernel's gate, the run settings by the Python API's rules,
     :func:`~claimcube.engine.run_errors`; missing keys and ``output_dir`` here.
     """
     errs: list[str] = []

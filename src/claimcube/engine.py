@@ -30,7 +30,7 @@ import numpy as np
 
 from .aggregate import MomentPair, _world_statistics
 from .errors import ParameterError, _require_integer
-from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path, validate_params
+from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path
 from .streams import RandomStream, seed_error
 
 __all__ = [
@@ -192,7 +192,11 @@ def build_risk_report(
 
 
 def block_replicates(params: ModelParams) -> int:
-    """B, the number of worlds per block of replicates for ``params``."""
+    """B, the number of worlds per block of replicates for ``params``.
+
+    Raises the :class:`ParameterError` of an invalid set, before dividing by its cell count.
+    """
+    params._kernel  # the gate: validates params once per set
     n_i, n_j, n_k = params.dims
     return max(1, BLOCK_CELLS // (n_i * n_j * n_k))
 
@@ -213,8 +217,7 @@ def replicate_path(
 ) -> SimulationPath:
     """The world of replicate ``replicate``: world ``r % B`` of block ``r // B``.
 
-    Draws only the first ``r % B + 1`` worlds of the block.  Assumes
-    ``params`` passed :func:`validate_params`.
+    Draws only the first ``r % B + 1`` worlds of the block.
     """
     _require_integer("replicate", replicate, 0)
     block, offset = divmod(replicate, block_replicates(params))
@@ -233,12 +236,11 @@ def _replicate_loop(
     block whose first replicate is ``first``.  With ``workers > 1`` (and more
     than one CPU) the blocks run on pool threads, at most ``workers``,
     block-count and CPU-count of them, also when the run is a single block;
-    the calling thread only collects.  Validates ``params`` and the settings.
+    the calling thread only collects.  Validates ``params``, then the settings.
     """
-    validate_params(params)
+    size = block_replicates(params)
     _require_run(replicates=replicates, master_seed=master_seed)
     _require_integer("workers", workers, 1)
-    size = block_replicates(params)
     starts = range(0, replicates, size)
     cpus = os.cpu_count() or 1
 

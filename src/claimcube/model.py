@@ -35,13 +35,15 @@ the block's :class:`~claimcube.streams.RandomStream`.  The
 first ``n`` worlds of a block do not depend on how many more are drawn, and
 a single world (``size=None``) is the block's first world as ``(I, J, K+1)``
 tensors.  The per-parameter constants of the kernel are computed once per
-:class:`ModelParams` and cached on it.
+:class:`ModelParams` and cached on it, after the one check of the set's
+rules (:attr:`ModelParams._kernel`), so no caller validates a set first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -123,10 +125,12 @@ class ModelParams:
     severity_var: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "occurrence_years", int(self.occurrence_years))
-        object.__setattr__(self, "max_lag", int(self.max_lag))
-        object.__setattr__(self, "max_runoff", int(self.max_runoff))
-        n_i, n_j, n_k = self.occurrence_years, self.max_lag, self.max_runoff + 1
+        for name in ("occurrence_years", "max_lag", "max_runoff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        n_i, n_j, n_k = (max(n, 0) for n in self.dims)  # a negative one is named by param_errors
         for name, shape in (
             ("expected_counts", (n_i,)),
             ("pay_prob", (n_k,)),
@@ -146,8 +150,18 @@ class ModelParams:
         return self.occurrence_years, self.max_lag, self.max_runoff + 1
 
     @cached_property
+    def _errors(self) -> tuple[str, ...]:
+        """The broken rules of :func:`param_errors`, evaluated once per parameter set."""
+        return tuple(_broken_rules(self))
+
+    @cached_property
     def _kernel(self) -> _Kernel:
-        """The world kernel's constants; valid once the params pass :func:`validate_params`."""
+        """The world kernel's constants, which every draw stage and the closed form read.
+
+        The one gate of a parameter set: :func:`validate_params` raises here,
+        before any constant or per-cell table is built.
+        """
+        validate_params(self)
         stochastic = self.severity_var > 0.0
         shape = np.ones(stochastic.size)
         scale = np.ones(stochastic.size)
@@ -171,14 +185,18 @@ def make_expected_counts(base: float, growth: float, years: int) -> np.ndarray:
         raise ParameterError(f"base count must be > 0, got {base!r}")
     if not growth > -1:
         raise ParameterError(f"growth must be > -1, got {growth!r}")
-    if years < 1:
-        raise ParameterError(f"years must be >= 1, got {years!r}")
+    _require_integer("years", years, 1)
     with np.errstate(over="ignore"):  # an overflow is a non-finite count, named by param_errors
         return base * (1.0 + growth) ** np.arange(years, dtype=float)
 
 
 def param_errors(params: ModelParams) -> list[str]:
     """Every violated parameter constraint, with index and value; empty if valid."""
+    return list(params._errors)
+
+
+def _broken_rules(params: ModelParams) -> list[str]:
+    """The rules of :func:`param_errors`; :attr:`ModelParams._errors` caches them."""
     errs: list[str] = []
     n_i, n_j, n_k = params.dims
     if n_i < 1:
@@ -330,7 +348,6 @@ def simulate_counts(stream: RandomStream, params: ModelParams, size: int | None 
     year L, independently with means ``column_means[i, j] * (survival[L] -
     survival[L+1])`` (``survival[K+1] = 0``); ``counts[..., k]`` then counts
     the claims with L >= k.  ``size`` must be None or an integer >= 1.
-    Assumes ``params`` passed :func:`validate_params`.
     """
     if size is not None:
         _require_integer("size", size, 1)
@@ -443,8 +460,7 @@ def simulate_path(
     (last) world are drawn after the payments, from
     :attr:`RandomStream.severity_generator`, conditional on the cell totals
     (see :func:`_split_totals`), so the draws of the plain path and hence
-    every cell total are the same whether or not they are retained.  Assumes
-    ``params`` passed :func:`validate_params`.
+    every cell total are the same whether or not they are retained.
     """
     count_tensor = simulate_counts(stream, params, size)
     pay_counts, payment_tensor = simulate_payments(stream, params, count_tensor)

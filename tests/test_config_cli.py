@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import claimcube.model
 from claimcube import (
     EmpiricalDistribution,
     ParameterError,
@@ -571,6 +572,21 @@ def test_survival_plateau_runs_without_stderr(tmp_path, command):
     r = run_cli(command, "--config", str(plateau_config(tmp_path)), "--out", str(tmp_path / "o"))
     assert r.returncode == 0, r.stderr
     assert r.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "calibrate"])
+def test_a_command_evaluates_the_model_rules_once(tmp_path, monkeypatch, command):
+    # parse_config's param_errors and the kernel's gate share one evaluation.
+    evaluated = []
+    rules = claimcube.model._broken_rules
+
+    def counted(params):
+        evaluated.append(params)
+        return rules(params)
+
+    monkeypatch.setattr(claimcube.model, "_broken_rules", counted)
+    assert main([command, "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "o")]) == 0
+    assert len(evaluated) == 1
 
 
 def edge_world(name):

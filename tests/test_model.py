@@ -12,9 +12,13 @@ from claimcube import (
     ParameterError,
     PaymentTensor,
     RandomStream,
+    analytic_reserve_moments,
+    block_replicates,
+    compare_2d_3d,
     default_params,
     make_expected_counts,
     param_errors,
+    replicate_path,
     run_monte_carlo,
     simulate_counts,
     simulate_path,
@@ -125,6 +129,86 @@ def test_world_built_in_code_is_bounded():
         validate_params(params)
     with pytest.raises(ParameterError, match="MAX_WORLD_CELLS"):
         run_monte_carlo(params, 1, 0, ("total_reserve",))
+
+
+# Changes to the make_params set that break its rules.
+INVALID_SETS = {
+    "lag_probs_sum_to_2": dict(lag_probs=[1.2, 0.8]),
+    "negative_severity_var": dict(severity_var=[[20.0, 20.0, 20.0], [20.0, -1.0, 20.0]]),
+    "pay_prob_1.5": dict(pay_prob=1.5),
+    "max_runoff_-1": dict(
+        max_runoff=-1, survival=[], pay_prob=[], severity_mean=np.empty((2, 0)), severity_var=np.empty((2, 0))
+    ),
+    # 2**26 cells from kilobyte arrays, as in test_world_built_in_code_is_bounded
+    "over_max_world_cells": dict(
+        occurrence_years=2**13,
+        max_lag=2**12,
+        max_runoff=1,
+        expected_counts=1.0,
+        lag_probs=np.full(2**12, 2.0**-12),
+        survival=[1.0, 0.5],
+        pay_prob=0.5,
+        severity_mean=10.0,
+        severity_var=20.0,
+    ),
+}
+
+ENTRY_POINTS = {
+    "simulate_counts": lambda params: simulate_counts(RandomStream(7), params),
+    "simulate_path": lambda params: simulate_path(RandomStream(7), params),
+    "replicate_path": lambda params: replicate_path(params, 7, 4),
+    "replicate_path_retained": lambda params: replicate_path(params, 7, 4, retain_severities=True),
+    "block_replicates": block_replicates,
+    "analytic_reserve_moments": analytic_reserve_moments,
+    "run_monte_carlo_1": lambda params: run_monte_carlo(params, 5, 7, workers=1),
+    "run_monte_carlo_2": lambda params: run_monte_carlo(params, 5, 7, workers=2),
+    "compare_2d_3d": lambda params: compare_2d_3d(params, 5, 7),
+}
+
+
+@pytest.mark.parametrize("invalid", INVALID_SETS)
+def test_every_entry_point_raises_the_rules_of_validate_params(make_params, invalid):
+    # ModelParams._kernel is the one gate: each reader of a parameter set
+    # raises validate_params's text before it draws or builds a per-cell table.
+    valid = make_params()
+    with pytest.raises(ParameterError) as rules:
+        validate_params(dataclasses.replace(valid, **INVALID_SETS[invalid]))
+    for name, call in ENTRY_POINTS.items():
+        params = dataclasses.replace(valid, **INVALID_SETS[invalid])  # fresh: nothing cached yet
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError) as raised:
+                call(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == str(rules.value), name
+        assert peak < 16 * 2**20, f"{name}: peak traced memory {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("occurrence_years", 14.7),
+        ("occurrence_years", "15"),
+        ("max_lag", True),
+        ("max_lag", np.float64(2.0)),
+        ("max_runoff", 2.0),
+        ("max_runoff", None),
+        ("years", 2.5),
+        ("years", True),
+        ("years", "3"),
+    ],
+)
+def test_a_dimension_must_be_an_integer(make_params, key, value):
+    with pytest.raises(ParameterError, match=f"^{key} must be an integer"):
+        if key == "years":
+            make_expected_counts(150.0, 0.03, value)
+        else:
+            dataclasses.replace(make_params(), **{key: value})
+    if key != "years":  # an integer out of range breaks a rule of param_errors instead
+        out_of_range = dataclasses.replace(make_params(), **{key: -2})
+        assert param_errors(out_of_range) == [f"{key} must be >= {0 if key == 'max_runoff' else 1}, got -2"]
 
 
 def test_claims_built_in_code_are_bounded():

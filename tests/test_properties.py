@@ -391,15 +391,16 @@ def row_loop_chain_ladder(cum):
         factors[n] = float(cum[both, n + 1].sum()) / denom
     completed = cum.copy()
     latest = np.zeros(n_rows, dtype=np.int64)
-    for r in range(n_rows):
-        known_cols = np.nonzero(~np.isnan(cum[r]))[0]
-        if known_cols.size == 0:
-            raise EstimationError(f"cannot complete row {r + 1}: it has no known cumulative value")
-        latest[r] = known_cols[-1]
-        for n in range(latest[r] + 1, n_cols):
-            completed[r, n] = completed[r, n - 1] * factors[n - 1]
-    reserve_per_row = completed[:, -1] - cum[np.arange(n_rows), latest]
-    return factors, completed, reserve_per_row, float(reserve_per_row.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as IEEE gives them, as chain_ladder
+        for r in range(n_rows):
+            known_cols = np.nonzero(~np.isnan(cum[r]))[0]
+            if known_cols.size == 0:
+                raise EstimationError(f"cannot complete row {r + 1}: it has no known cumulative value")
+            latest[r] = known_cols[-1]
+            for n in range(latest[r] + 1, n_cols):
+                completed[r, n] = completed[r, n - 1] * factors[n - 1]
+        reserve_per_row = completed[:, -1] - cum[np.arange(n_rows), latest]
+        return factors, completed, reserve_per_row, float(reserve_per_row.sum())
 
 
 @st.composite
