@@ -41,9 +41,10 @@ rules (:attr:`ModelParams._kernel`), so no caller validates a set first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -70,11 +71,81 @@ __all__ = [
 MAX_WORLD_CELLS = 2**25
 
 
-def world_size_error(cells: int) -> str:
-    """The error of a world of ``cells`` cells above :data:`MAX_WORLD_CELLS`, else ``""``."""
-    if cells > MAX_WORLD_CELLS:
-        return f"occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"
-    return ""
+#: The dimensions of a parameter set, each an integer.
+_DIMENSIONS = ("occurrence_years", "max_lag", "max_runoff")
+
+#: Each array field's axes, as indices into ``ModelParams.dims`` (I, J, K+1).
+_AXES = {
+    "expected_counts": (0,), "lag_probs": (1,), "survival": (2,),
+    "pay_prob": (2,), "severity_mean": (1, 2), "severity_var": (1, 2),
+}
+
+#: The array fields a scalar may stand for, broadcast to the field's full shape.
+_BROADCAST = ("expected_counts", "pay_prob", "severity_mean", "severity_var")
+
+#: The lower bound of each argument of a growth curve, :func:`make_expected_counts`.
+_CURVE = {"base": 0, "growth": -1}
+
+
+def _form_errors(**values) -> list[str]:
+    """Every broken rule on the form of :class:`ModelParams` fields and of the
+    ``base``, ``growth`` and ``years`` of :func:`make_expected_counts`.
+
+    A dimension is an integer, not a bool; an array field is numeric with the
+    field's number of axes, or a scalar where :class:`ModelParams` broadcasts
+    one; ``base`` and ``growth`` are finite real numbers above their bounds;
+    ``years`` lies in 1 .. :data:`MAX_WORLD_CELLS`.  Ranges are :func:`param_errors`'s.
+    """
+    errs: list[str] = []
+    for key, value in values.items():
+        integer = not isinstance(value, bool) and isinstance(value, Integral)
+        if key in _DIMENSIONS:
+            if not integer:
+                errs.append(f"{key} must be an integer, got {value!r}")
+        elif key == "years":
+            if not (integer and 1 <= value <= MAX_WORLD_CELLS):
+                errs.append(f"years must be an integer in 1 .. MAX_WORLD_CELLS = {MAX_WORLD_CELLS}, got {_shown(value)}")
+        elif key in _CURVE:
+            try:
+                ok = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+            except OverflowError:  # an integer past float range
+                ok = False
+            if not (ok and value > _CURVE[key]):
+                errs.append(f"expected_counts.{key} must be a finite number > {_CURVE[key]}, got {_shown(value)}")
+        else:
+            try:
+                shape = None if value is None else np.asarray(value, dtype=float).shape  # numpy reads None as NaN
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an integer past float range
+                shape = None
+            axes = len(_AXES[key])
+            if shape is None:
+                errs.append(f"{key} must be a numeric array")
+            elif len(shape) != axes and not (shape == () and key in _BROADCAST):
+                scalar = "a number or " if key in _BROADCAST else ""
+                errs.append(f"{key} must be {scalar}a {axes}-D array, got shape {shape}")
+    return errs
+
+
+def _dimension_errors(occurrence_years: int, max_lag: int, max_runoff: int) -> list[str]:
+    """The rules of :func:`param_errors` on integer dimensions: each at least its
+    minimum, then at most :data:`MAX_WORLD_CELLS` cells.  They name a set alone."""
+    errs: list[str] = []
+    if occurrence_years < 1:
+        errs.append(f"occurrence_years must be >= 1, got {occurrence_years}")
+    if max_lag < 1:
+        errs.append(f"max_lag must be >= 1, got {max_lag}")
+    if max_runoff < 0:
+        errs.append(f"max_runoff must be >= 0, got {max_runoff}")
+    if not errs and (cells := occurrence_years * max_lag * (max_runoff + 1)) > MAX_WORLD_CELLS:
+        errs.append(f"occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}")
+    return errs
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an integer past float range."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"a {value.bit_length()}-bit integer"
+    return repr(value)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -109,9 +180,10 @@ class _Kernel(NamedTuple):
 class ModelParams:
     """Full parameter set of the claim model.
 
-    Scalar values for ``expected_counts``, ``pay_prob``, ``severity_mean``
-    and ``severity_var`` are broadcast to the full index range.  Instances
-    are immutable (arrays are frozen) and safe to share across workers.
+    Its fields are the keys of a configuration's ``model`` section.  Scalar
+    values for ``expected_counts``, ``pay_prob``, ``severity_mean`` and
+    ``severity_var`` are broadcast to the full index range as read-only
+    views.  Instances are immutable and safe to share across workers.
     """
 
     occurrence_years: int
@@ -125,24 +197,17 @@ class ModelParams:
     severity_var: np.ndarray
 
     def __post_init__(self):
-        for name in ("occurrence_years", "max_lag", "max_runoff"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        n_i, n_j, n_k = (max(n, 0) for n in self.dims)  # a negative one is named by param_errors
-        for name, shape in (
-            ("expected_counts", (n_i,)),
-            ("pay_prob", (n_k,)),
-            ("severity_mean", (n_j, n_k)),
-            ("severity_var", (n_j, n_k)),
-        ):
-            raw = np.asarray(getattr(self, name), dtype=float)
-            if raw.ndim == 0:
-                raw = np.broadcast_to(raw, shape)
-            object.__setattr__(self, name, _frozen(np.array(raw, dtype=float)))
-        object.__setattr__(self, "lag_probs", _frozen(np.array(self.lag_probs, dtype=float)))
-        object.__setattr__(self, "survival", _frozen(np.array(self.survival, dtype=float)))
+        if errs := _form_errors(**{field.name: getattr(self, field.name) for field in fields(self)}):
+            raise ParameterError("; ".join(errs))
+        for name in _DIMENSIONS:
+            object.__setattr__(self, name, int(getattr(self, name)))
+        # Dimensions that break a rule name the set alone: its scalars stay unbroadcast.
+        bounded = not _dimension_errors(self.occurrence_years, self.max_lag, self.max_runoff)
+        for name, axes in _AXES.items():
+            arr = _frozen(np.array(getattr(self, name), dtype=float))
+            if arr.ndim == 0 and name in _BROADCAST and bounded:
+                arr = np.broadcast_to(arr, tuple(self.dims[axis] for axis in axes))  # a read-only view
+            object.__setattr__(self, name, arr)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -181,11 +246,8 @@ class ModelParams:
 
 def make_expected_counts(base: float, growth: float, years: int) -> np.ndarray:
     """Expected ultimate counts growing geometrically: base * (1+growth)^(i-1)."""
-    if not base > 0:
-        raise ParameterError(f"base count must be > 0, got {base!r}")
-    if not growth > -1:
-        raise ParameterError(f"growth must be > -1, got {growth!r}")
-    _require_integer("years", years, 1)
+    if errs := _form_errors(base=base, growth=growth, years=years):
+        raise ParameterError("; ".join(errs))
     with np.errstate(over="ignore"):  # an overflow is a non-finite count, named by param_errors
         return base * (1.0 + growth) ** np.arange(years, dtype=float)
 
@@ -197,18 +259,10 @@ def param_errors(params: ModelParams) -> list[str]:
 
 def _broken_rules(params: ModelParams) -> list[str]:
     """The rules of :func:`param_errors`; :attr:`ModelParams._errors` caches them."""
+    if errs := _dimension_errors(params.occurrence_years, params.max_lag, params.max_runoff):
+        return errs
     errs: list[str] = []
     n_i, n_j, n_k = params.dims
-    if n_i < 1:
-        errs.append(f"occurrence_years must be >= 1, got {params.occurrence_years}")
-    if n_j < 1:
-        errs.append(f"max_lag must be >= 1, got {params.max_lag}")
-    if params.max_runoff < 0:
-        errs.append(f"max_runoff must be >= 0, got {params.max_runoff}")
-    if errs:
-        return errs
-    if too_large := world_size_error(n_i * n_j * n_k):
-        errs.append(too_large)
 
     def check_shape(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> bool:
         if arr.shape != shape:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import claimcube.model
 from claimcube import (
     EmpiricalDistribution,
+    ModelParams,
     ParameterError,
     RandomStream,
     block_replicates,
@@ -22,6 +24,7 @@ from claimcube import (
     default_config,
     default_params,
     load_config,
+    make_expected_counts,
     parse_config,
     replicate_path,
     run_monte_carlo,
@@ -32,6 +35,7 @@ from claimcube import (
 from claimcube.cli import main
 from claimcube.config import DEFAULT_OUTPUT_DIR
 from claimcube.engine import SUPPORTED_STATISTICS, run_errors
+from claimcube.model import MAX_WORLD_CELLS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -170,6 +174,99 @@ def test_config_files_and_the_python_api_reject_a_run_setting_alike(key, value, 
         with pytest.raises(ParameterError) as err:
             call()
         assert str(err.value) == message
+
+
+NUMBER = "must be a finite number"
+
+#: (model value, bad value, the message configuration files and the Python API give);
+#: ``base`` and ``growth`` are those of a growth curve, ``years`` its length in Python.
+BAD_MODEL_VALUES = [
+    ("occurrence_years", 2.5, "occurrence_years must be an integer, got 2.5"),
+    ("max_lag", True, "max_lag must be an integer, got True"),
+    ("max_runoff", "15", "max_runoff must be an integer, got '15'"),
+    ("occurrence_years", None, "occurrence_years must be an integer, got None"),
+    ("expected_counts", "abc", "expected_counts must be a numeric array"),
+    ("severity_var", {"a": 1}, "severity_var must be a numeric array"),
+    ("pay_prob", [[1], [2, 3]], "pay_prob must be a numeric array"),
+    ("pay_prob", None, "pay_prob must be a numeric array"),
+    ("lag_probs", [10**400, 1], "lag_probs must be a numeric array"),
+    ("lag_probs", [[0.5, 0.5]], "lag_probs must be a 1-D array, got shape (1, 2)"),
+    ("base", True, f"expected_counts.base {NUMBER} > 0, got True"),
+    ("base", None, f"expected_counts.base {NUMBER} > 0, got None"),
+    ("base", "x", f"expected_counts.base {NUMBER} > 0, got 'x'"),
+    ("base", 10**400, f"expected_counts.base {NUMBER} > 0, got a 1329-bit integer"),
+    ("growth", None, f"expected_counts.growth {NUMBER} > -1, got None"),
+    ("years", 2**70, f"years must be an integer in 1 .. MAX_WORLD_CELLS = {MAX_WORLD_CELLS}, got {2**70}"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", BAD_MODEL_VALUES, ids=[f"{k}={v!r:.12}" for k, v, _ in BAD_MODEL_VALUES])
+def test_config_files_and_the_python_api_reject_a_model_value_alike(key, value, message):
+    curve = {"base": 150.0, "growth": 0.03, "years": 15}
+    with pytest.raises(ParameterError) as err:
+        if key in curve:
+            make_expected_counts(**{**curve, key: value})
+        else:
+            dataclasses.replace(default_params(), **{key: value})
+    assert str(err.value) == message
+    if key == "years":  # a file's growth curve spans model.occurrence_years
+        return
+    mapping = default_config()
+    model = mapping["model"]
+    (model["expected_counts"] if key in curve else model)[key] = value
+    with pytest.raises(ParameterError) as err:
+        parse_config(mapping)
+    assert str(err.value).splitlines() == ["invalid configuration:", f"  - model.{message}"]
+
+
+def test_every_offending_model_value_is_named_at_once():
+    mapping = default_config()
+    model = mapping["model"]
+    model["occurrence_years"] = 2.5
+    model["lag_probs"] = "abc"
+    model["expected_counts"] = {"base": True, "growth": None}
+    model["pay_prob"] = [[0.5]]
+    with pytest.raises(ParameterError) as err:
+        parse_config(mapping)
+    assert sorted(str(err.value).splitlines()[1:]) == [
+        f"  - model.expected_counts.base {NUMBER} > 0, got True",
+        f"  - model.expected_counts.growth {NUMBER} > -1, got None",
+        "  - model.lag_probs must be a numeric array",
+        "  - model.occurrence_years must be an integer, got 2.5",
+        "  - model.pay_prob must be a number or a 1-D array, got shape (1, 1)",
+    ]
+
+
+SPEC = "model.expected_counts: need either 'values' or 'base' and 'growth'"
+
+
+@pytest.mark.parametrize(
+    "key, spec, message",
+    [(field.name, None, f"model.{field.name}: missing") for field in dataclasses.fields(ModelParams)]
+    + [("expected_counts", {}, SPEC), ("expected_counts", {"base": 1.0}, SPEC)],
+)
+def test_every_missing_model_value_is_named(key, spec, message):
+    mapping = default_config()
+    if spec is None:
+        del mapping["model"][key]
+    else:
+        mapping["model"][key] = spec
+    with pytest.raises(ParameterError) as err:
+        parse_config(mapping)
+    assert str(err.value).splitlines() == ["invalid configuration:", f"  - {message}"]
+
+
+def test_a_scalar_model_array_is_broadcast_and_exported_in_full():
+    mapping = default_config()
+    mapping["model"].update(expected_counts=150.0, pay_prob=0.5, severity_mean=10.0, severity_var=40.0)
+    params = parse_config(mapping).params
+    n_i, n_j, n_k = params.dims
+    exported = config_from_params(params, replicates=1, master_seed=0)["model"]
+    assert exported["expected_counts"] == {"values": [150.0] * n_i}
+    assert exported["pay_prob"] == [0.5] * n_k
+    assert exported["severity_mean"] == [[10.0] * n_k] * n_j
+    assert exported["severity_var"] == [[40.0] * n_k] * n_j
+    assert parse_config({**mapping, "model": exported}).params.dims == params.dims
 
 
 def test_config_round_trip_is_lossless(tmp_path, make_params):

@@ -108,23 +108,44 @@ def test_all_violations_collected():
     assert len(errs) >= 6
 
 
-def test_world_built_in_code_is_bounded():
-    # 2**13 * 2**12 * 2 = 2**26 cells, from parameter arrays of kilobytes
-    params = ModelParams(
-        occurrence_years=2**13,
-        max_lag=2**12,
-        max_runoff=1,
-        expected_counts=1.0,
-        lag_probs=np.full(2**12, 2.0**-12),
-        survival=[1.0, 0.5],
-        pay_prob=0.5,
-        severity_mean=10.0,
-        severity_var=20.0,
-    )
-    assert params.occurrence_years * params.max_lag * 2 > MAX_WORLD_CELLS
-    assert param_errors(params) == [
-        f"occurrence_years: the world has I*J*(K+1) = {2**26} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"
+#: Parameter sets built in code, from parameter arrays of kilobytes, whose
+#: worlds are past MAX_WORLD_CELLS.
+HUGE_WORLDS = {
+    # 2**13 * 2**12 * 2 = 2**26 cells
+    "2**26_cells": dict(
+        occurrence_years=2**13, max_lag=2**12, max_runoff=1, lag_probs=np.full(2**12, 2.0**-12), survival=[1.0, 0.5]
+    ),
+    # 1 * 1025 * 2**15 cells, 0.1% past the bound: a per-cell copy of the
+    # scalar severities would take 16 bytes per (j, k) cell
+    "scalar_severities": dict(
+        occurrence_years=1,
+        max_lag=1025,
+        max_runoff=2**15 - 1,
+        lag_probs=np.full(1025, 1 / 1025),
+        survival=np.linspace(1.0, 0.0, 2**15),
+    ),
+    # more occurrence years than numpy can broadcast a scalar to
+    "2**70_years": dict(occurrence_years=2**70, max_lag=2, max_runoff=1, lag_probs=[0.5, 0.5], survival=[1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("world", HUGE_WORLDS)
+def test_world_built_in_code_is_bounded(world):
+    tracemalloc.start()
+    try:
+        params = ModelParams(
+            **HUGE_WORLDS[world], expected_counts=1.0, pay_prob=0.5, severity_mean=10.0, severity_var=20.0
+        )
+        errors = param_errors(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = math.prod(params.dims)
+    assert cells > MAX_WORLD_CELLS
+    assert errors == [
+        f"occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"
     ]
+    assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
     with pytest.raises(ParameterError, match="MAX_WORLD_CELLS"):
         validate_params(params)
     with pytest.raises(ParameterError, match="MAX_WORLD_CELLS"):
@@ -278,6 +299,18 @@ def test_params_arrays_are_immutable(make_params):
     params = make_params()
     with pytest.raises(ValueError):
         params.survival[1] = 0.9
+
+
+def test_a_broadcast_scalar_is_a_read_only_view_of_its_own_copy(make_params):
+    severity = np.array(10.0)
+    params = make_params(severity_mean=severity)
+    severity[()] = -1.0  # the caller's array is not the parameter set's
+    assert params.severity_mean.shape == (2, 3) and (params.severity_mean == 10.0).all()
+    assert params.severity_mean.strides == (0, 0)  # one value, not one per cell
+    with pytest.raises(ValueError):
+        params.severity_mean[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        params.severity_mean.base[()] = 1.0
 
 
 # --- count simulation -------------------------------------------------------
