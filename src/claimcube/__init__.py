@@ -56,7 +56,6 @@ from .model import (
     PaymentTensor,
     SimulationPath,
     make_expected_counts,
-    param_errors,
     simulate_counts,
     simulate_path,
     simulate_payments,
@@ -107,7 +106,6 @@ __all__ = [
     "load_config",
     "make_expected_counts",
     "mean_claim_size",
-    "param_errors",
     "parse_config",
     "replicate_path",
     "reserve_breakdown",

@@ -281,7 +281,7 @@ def analytic_reserve_moments(params: ModelParams) -> dict[str, MomentPair]:
     Returns moment pairs for ``ibnr_count``, ``ibnr_reserve``,
     ``reported_reserve`` and ``total_reserve``.
     """
-    lam_col = params._kernel.column_means  # the gate, before the per-cell table
+    lam_col = params._kernel.column_means
     cells = _classification(*params.dims)
     ibnr_cols, rep_mask = cells.ibnr_column, ~cells.ibnr_column
 

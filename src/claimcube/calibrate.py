@@ -88,7 +88,7 @@ def calibrated_params(path: SimulationPath, fallback: ModelParams) -> ModelParam
     """Bundle all estimates into a parameter set ready for re-simulation.
 
     Cells whose estimate is absent (no payments observed) fall back to the
-    corresponding value of ``fallback``, so the result always validates.  A
+    corresponding value of ``fallback``, so the result passes every rule.  A
     severity cell whose estimated mean is not > 0 (its amounts all underflowed
     to 0, as they can at a tiny Gamma shape) counts as absent, for its mean
     and its variance.  Expected ultimate counts have no estimator here and

@@ -195,7 +195,7 @@ def _render(path: Path, render) -> list[str]:
     try:
         with path.open(encoding="utf-8", newline="") as fh:
             return render(fh)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: not a claimcube output ({type(exc).__name__}: {exc})") from None
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import DEFAULT_QUANTILE_LEVELS, DEFAULT_STATISTICS, run_errors
 from .errors import ParameterError
-from .model import _DIMENSIONS, ModelParams, _dimension_errors, _form_errors, make_expected_counts, param_errors
+from .model import _DIMENSIONS, ModelParams, _dimension_errors, _form_errors, make_expected_counts
 from .presets import default_config
 
 __all__ = ["RunConfig", "config_from_params", "load_config", "parse_config", "write_config"]
@@ -80,8 +80,10 @@ def parse_config(mapping: dict) -> RunConfig:
     if not errs:
         if curve:
             values["expected_counts"] = make_expected_counts(**curve, years=values["occurrence_years"])
-        params = ModelParams(**values)
-        errs.extend(f"model.{msg}" for msg in param_errors(params))
+        try:
+            params = ModelParams(**values)
+        except ParameterError as exc:
+            errs.extend(f"model.{msg}" for msg in exc.args)
 
     if "replicates" not in run:
         errs.append("run.replicates: missing")
@@ -123,10 +125,10 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             mapping = json.loads(file_path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ParameterError(f"configuration file not found: {file_path}") from None
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{file_path}: not valid JSON ({exc})") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise ParameterError(f"{file_path}: cannot read configuration ({exc})") from None
+        except (ValueError, RecursionError) as exc:  # ValueError: also an integer of over 4300 digits
+            raise ParameterError(f"{file_path}: not valid JSON ({exc})") from None
         if not isinstance(mapping, dict):
             raise ParameterError(f"{file_path}: top level must be a mapping")
     overrides = {key: value for key, value in (overrides or {}).items() if value is not None}

@@ -118,7 +118,7 @@ def run_errors(
 def _require_run(**settings) -> None:
     """Raise a :class:`ParameterError` naming every rule of :func:`run_errors` that ``settings`` break."""
     if errs := run_errors(**settings):
-        raise ParameterError("; ".join(errs))
+        raise ParameterError(*errs)
 
 
 def value_at_risk(dist: EmpiricalDistribution, level: float) -> float:
@@ -192,11 +192,7 @@ def build_risk_report(
 
 
 def block_replicates(params: ModelParams) -> int:
-    """B, the number of worlds per block of replicates for ``params``.
-
-    Raises the :class:`ParameterError` of an invalid set, before dividing by its cell count.
-    """
-    params._kernel  # the gate: validates params once per set
+    """B, the number of worlds per block of replicates for ``params``."""
     n_i, n_j, n_k = params.dims
     return max(1, BLOCK_CELLS // (n_i * n_j * n_k))
 
@@ -236,7 +232,7 @@ def _replicate_loop(
     block whose first replicate is ``first``.  With ``workers > 1`` (and more
     than one CPU) the blocks run on pool threads, at most ``workers``,
     block-count and CPU-count of them, also when the run is a single block;
-    the calling thread only collects.  Validates ``params``, then the settings.
+    the calling thread only collects.  Validates the settings first.
     """
     size = block_replicates(params)
     _require_run(replicates=replicates, master_seed=master_seed)

@@ -4,7 +4,13 @@ from numbers import Integral
 
 
 class ParameterError(ValueError):
-    """Raised when a distribution, model or configuration parameter is invalid."""
+    """Raised when a distribution, model or configuration parameter is invalid.
+
+    Its ``args`` are the broken rules, one message each, and its text joins them with ``"; "``.
+    """
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
 
 
 class EstimationError(ValueError):

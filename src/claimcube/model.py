@@ -34,16 +34,15 @@ binomial, Gamma) for the whole block, each stage on its own generator of
 the block's :class:`~claimcube.streams.RandomStream`.  The
 first ``n`` worlds of a block do not depend on how many more are drawn, and
 a single world (``size=None``) is the block's first world as ``(I, J, K+1)``
-tensors.  The per-parameter constants of the kernel are computed once per
-:class:`ModelParams` and cached on it, after the one check of the set's
-rules (:attr:`ModelParams._kernel`), so no caller validates a set first.
+tensors.  A :class:`ModelParams` checks every rule when it is built and
+holds the kernel's per-parameter constants (``ModelParams._kernel``), so no
+caller validates a set first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -58,7 +57,6 @@ __all__ = [
     "PaymentTensor",
     "SimulationPath",
     "make_expected_counts",
-    "param_errors",
     "simulate_counts",
     "simulate_path",
     "simulate_payments",
@@ -94,7 +92,7 @@ def _form_errors(**values) -> list[str]:
     A dimension is an integer, not a bool; an array field is numeric with the
     field's number of axes, or a scalar where :class:`ModelParams` broadcasts
     one; ``base`` and ``growth`` are finite real numbers above their bounds;
-    ``years`` lies in 1 .. :data:`MAX_WORLD_CELLS`.  Ranges are :func:`param_errors`'s.
+    ``years`` lies in 1 .. :data:`MAX_WORLD_CELLS`.  Ranges are :func:`validate_params`'s.
     """
     errs: list[str] = []
     for key, value in values.items():
@@ -127,8 +125,8 @@ def _form_errors(**values) -> list[str]:
 
 
 def _dimension_errors(occurrence_years: int, max_lag: int, max_runoff: int) -> list[str]:
-    """The rules of :func:`param_errors` on integer dimensions: each at least its
-    minimum, then at most :data:`MAX_WORLD_CELLS` cells.  They name a set alone."""
+    """The rules on integer dimensions: each at least its minimum, then at most
+    :data:`MAX_WORLD_CELLS` cells.  They are checked before any array is broadcast."""
     errs: list[str] = []
     if occurrence_years < 1:
         errs.append(f"occurrence_years must be >= 1, got {occurrence_years}")
@@ -184,6 +182,13 @@ class ModelParams:
     values for ``expected_counts``, ``pay_prob``, ``severity_mean`` and
     ``severity_var`` are broadcast to the full index range as read-only
     views.  Instances are immutable and safe to share across workers.
+
+    A set that breaks a rule is not built: the constructor checks the form
+    rules, then the dimension rules before any scalar is broadcast, then the
+    range rules of :func:`validate_params`, and raises one
+    :class:`ParameterError` whose ``args`` are every broken rule of the first
+    group that fails.  A built set holds the world kernel's constants as
+    ``_kernel``.
     """
 
     occurrence_years: int
@@ -198,69 +203,59 @@ class ModelParams:
 
     def __post_init__(self):
         if errs := _form_errors(**{field.name: getattr(self, field.name) for field in fields(self)}):
-            raise ParameterError("; ".join(errs))
+            raise ParameterError(*errs)
         for name in _DIMENSIONS:
             object.__setattr__(self, name, int(getattr(self, name)))
-        # Dimensions that break a rule name the set alone: its scalars stay unbroadcast.
-        bounded = not _dimension_errors(self.occurrence_years, self.max_lag, self.max_runoff)
+        if errs := _dimension_errors(self.occurrence_years, self.max_lag, self.max_runoff):
+            raise ParameterError(*errs)
         for name, axes in _AXES.items():
             arr = _frozen(np.array(getattr(self, name), dtype=float))
-            if arr.ndim == 0 and name in _BROADCAST and bounded:
+            if arr.ndim == 0 and name in _BROADCAST:
                 arr = np.broadcast_to(arr, tuple(self.dims[axis] for axis in axes))  # a read-only view
             object.__setattr__(self, name, arr)
+        validate_params(self)
+        object.__setattr__(self, "_kernel", _kernel_constants(self))
 
     @property
     def dims(self) -> tuple[int, int, int]:
         """Tensor shape ``(I, J, K+1)``."""
         return self.occurrence_years, self.max_lag, self.max_runoff + 1
 
-    @cached_property
-    def _errors(self) -> tuple[str, ...]:
-        """The broken rules of :func:`param_errors`, evaluated once per parameter set."""
-        return tuple(_broken_rules(self))
 
-    @cached_property
-    def _kernel(self) -> _Kernel:
-        """The world kernel's constants, which every draw stage and the closed form read.
-
-        The one gate of a parameter set: :func:`validate_params` raises here,
-        before any constant or per-cell table is built.
-        """
-        validate_params(self)
-        stochastic = self.severity_var > 0.0
-        shape = np.ones(stochastic.size)
-        scale = np.ones(stochastic.size)
-        flat = stochastic.ravel()
-        shape[flat], scale[flat] = gamma_shape_scale(
-            self.severity_mean.ravel()[flat], self.severity_var.ravel()[flat]
-        )
-        return _Kernel(
-            column_means=_frozen(self.expected_counts[:, None] * self.lag_probs[None, :]),
-            last_active_probs=_frozen(-np.diff(self.survival, append=0.0)),
-            stochastic=_frozen(stochastic),
-            shape=_frozen(shape),
-            scale=_frozen(scale),
-            fixed_mean=_frozen(np.where(stochastic, 0.0, self.severity_mean)),
-        )
+def _kernel_constants(params: ModelParams) -> _Kernel:
+    """The world kernel's constants, which every draw stage and the closed form read."""
+    stochastic = params.severity_var > 0.0
+    shape = np.ones(stochastic.size)
+    scale = np.ones(stochastic.size)
+    flat = stochastic.ravel()
+    shape[flat], scale[flat] = gamma_shape_scale(params.severity_mean.ravel()[flat], params.severity_var.ravel()[flat])
+    return _Kernel(
+        column_means=_frozen(params.expected_counts[:, None] * params.lag_probs[None, :]),
+        last_active_probs=_frozen(-np.diff(params.survival, append=0.0)),
+        stochastic=_frozen(stochastic),
+        shape=_frozen(shape),
+        scale=_frozen(scale),
+        fixed_mean=_frozen(np.where(stochastic, 0.0, params.severity_mean)),
+    )
 
 
 def make_expected_counts(base: float, growth: float, years: int) -> np.ndarray:
     """Expected ultimate counts growing geometrically: base * (1+growth)^(i-1)."""
     if errs := _form_errors(base=base, growth=growth, years=years):
-        raise ParameterError("; ".join(errs))
-    with np.errstate(over="ignore"):  # an overflow is a non-finite count, named by param_errors
+        raise ParameterError(*errs)
+    with np.errstate(over="ignore"):  # an overflow is a non-finite count, which ModelParams rejects
         return base * (1.0 + growth) ** np.arange(years, dtype=float)
 
 
-def param_errors(params: ModelParams) -> list[str]:
-    """Every violated parameter constraint, with index and value; empty if valid."""
-    return list(params._errors)
+def validate_params(params: ModelParams) -> ModelParams:
+    """Return ``params`` if it breaks no range rule, else raise a
+    :class:`ParameterError` whose ``args`` are the broken rules, each with
+    index and value: shapes, finiteness, signs, sums and overflows.
 
-
-def _broken_rules(params: ModelParams) -> list[str]:
-    """The rules of :func:`param_errors`; :attr:`ModelParams._errors` caches them."""
-    if errs := _dimension_errors(params.occurrence_years, params.max_lag, params.max_runoff):
-        return errs
+    The range rules are the last check of the :class:`ModelParams`
+    constructor, which calls this function, so it returns every built set
+    unchanged; calling it again re-checks a set that cannot fail.
+    """
     errs: list[str] = []
     n_i, n_j, n_k = params.dims
 
@@ -326,14 +321,8 @@ def _broken_rules(params: ModelParams) -> list[str]:
                 "var + mean**2 or the Gamma shape mean**2 / var or scale var / mean"
             )
 
-    return errs
-
-
-def validate_params(params: ModelParams) -> ModelParams:
-    """Return ``params`` if :func:`param_errors` finds nothing, else raise listing
-    every violation.  Never warns: a survival curve may plateau and still close."""
-    if errs := param_errors(params):
-        raise ParameterError("invalid model parameters:\n  - " + "\n  - ".join(errs))
+    if errs:
+        raise ParameterError(*errs)
     return params
 
 

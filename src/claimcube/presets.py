@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, make_expected_counts, validate_params
+from .model import ModelParams, make_expected_counts
 
 __all__ = ["default_config", "default_params"]
 
@@ -31,7 +31,7 @@ COUNT_GROWTH = 0.03
 
 
 def default_params() -> ModelParams:
-    """Representative full-scale parameter set (validated)."""
+    """Representative full-scale parameter set."""
     lags = np.arange(MAX_LAG, dtype=float)
     raw = np.where(lags == 0, 0.40, 0.28 * 0.533 ** (lags - 1))
     lag_probs = raw / raw.sum()
@@ -47,18 +47,16 @@ def default_params() -> ModelParams:
     severity_mean = 300.0 * (0.25 + peak[:, None] * bump[None, :])
     severity_var = 4.0 * severity_mean
 
-    return validate_params(
-        ModelParams(
-            occurrence_years=OCCURRENCE_YEARS,
-            max_lag=MAX_LAG,
-            max_runoff=MAX_RUNOFF,
-            expected_counts=make_expected_counts(BASE_COUNT, COUNT_GROWTH, OCCURRENCE_YEARS),
-            lag_probs=lag_probs,
-            survival=survival,
-            pay_prob=pay_prob,
-            severity_mean=severity_mean,
-            severity_var=severity_var,
-        )
+    return ModelParams(
+        occurrence_years=OCCURRENCE_YEARS,
+        max_lag=MAX_LAG,
+        max_runoff=MAX_RUNOFF,
+        expected_counts=make_expected_counts(BASE_COUNT, COUNT_GROWTH, OCCURRENCE_YEARS),
+        lag_probs=lag_probs,
+        survival=survival,
+        pay_prob=pay_prob,
+        severity_mean=severity_mean,
+        severity_var=severity_var,
     )
 
 

@@ -671,19 +671,21 @@ def test_survival_plateau_runs_without_stderr(tmp_path, command):
     assert r.stderr == ""
 
 
-@pytest.mark.parametrize("command", ["simulate", "compare", "calibrate"])
-def test_a_command_evaluates_the_model_rules_once(tmp_path, monkeypatch, command):
-    # parse_config's param_errors and the kernel's gate share one evaluation.
+@pytest.mark.parametrize("command, sets", [("simulate", 1), ("compare", 1), ("calibrate", 2)])
+def test_a_command_evaluates_the_model_rules_once(tmp_path, monkeypatch, command, sets):
+    # The range rules run once per set built: the configured set, and for
+    # calibrate also the estimated set.  No set is checked twice.
     evaluated = []
-    rules = claimcube.model._broken_rules
+    rules = claimcube.model.validate_params
 
     def counted(params):
         evaluated.append(params)
         return rules(params)
 
-    monkeypatch.setattr(claimcube.model, "_broken_rules", counted)
+    monkeypatch.setattr(claimcube.model, "validate_params", counted)
     assert main([command, "--config", str(small_config(tmp_path)), "--out", str(tmp_path / "o")]) == 0
-    assert len(evaluated) == 1
+    assert len(evaluated) == sets
+    assert len({id(params) for params in evaluated}) == sets
 
 
 def edge_world(name):
@@ -769,3 +771,28 @@ def test_io_failure_exits_1_with_a_one_line_diagnostic(tmp_path, case):
     assert line.startswith("error: ")
     assert str(culprit) in line
     assert r.stdout == ""
+
+
+def malformed_json_case(tmp_path, case):
+    """CLI arguments that read a JSON file the decoder cannot take."""
+    nested = "[" * 200_000 + "]" * 200_000
+    if case == "summary_nested_too_deep":
+        out = tmp_path / "prior"
+        out.mkdir()
+        (out / "summary.json").write_text('{"master_seed": ' + nested + "}")
+        return ["report", "--out", str(out)]
+    mapping = default_config()
+    key, literal = ("occurrence_years", "1" + "0" * 4999) if case == "integer_of_5000_digits" else ("lag_probs", nested)
+    mapping["model"][key] = "placeholder"
+    text = json.dumps(mapping).replace('"placeholder"', literal)
+    cfg = tmp_path / f"{case}.json"
+    cfg.write_text(text)
+    return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("case", ["integer_of_5000_digits", "lag_probs_nested_too_deep", "summary_nested_too_deep"])
+def test_malformed_json_exits_1_without_a_traceback(tmp_path, case):
+    r = run_cli(*malformed_json_case(tmp_path, case))
+    assert r.returncode == 1
+    (line,) = r.stderr.strip().splitlines()
+    assert line.startswith("error: ")

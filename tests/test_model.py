@@ -12,14 +12,8 @@ from claimcube import (
     ParameterError,
     PaymentTensor,
     RandomStream,
-    analytic_reserve_moments,
-    block_replicates,
-    compare_2d_3d,
     default_params,
     make_expected_counts,
-    param_errors,
-    replicate_path,
-    run_monte_carlo,
     simulate_counts,
     simulate_path,
     simulate_payments,
@@ -58,54 +52,53 @@ def test_valid_params_accepted(make_params):
     assert validate_params(params) is params
 
 
-def test_lag_prob_sum_violation_is_reported(make_params):
-    params = ModelParams(
-        occurrence_years=2,
-        max_lag=2,
-        max_runoff=1,
-        expected_counts=10.0,
-        lag_probs=[0.5, 0.6],
-        survival=[1.0, 0.5],
-        pay_prob=0.5,
-        severity_mean=10.0,
-        severity_var=0.0,
-    )
-    errs = param_errors(params)
-    assert any("lag_probs sum" in e for e in errs)
-    with pytest.raises(ParameterError, match="lag_probs"):
-        validate_params(params)
+def test_lag_prob_sum_violation_is_reported():
+    with pytest.raises(ParameterError, match="lag_probs") as raised:
+        ModelParams(
+            occurrence_years=2,
+            max_lag=2,
+            max_runoff=1,
+            expected_counts=10.0,
+            lag_probs=[0.5, 0.6],
+            survival=[1.0, 0.5],
+            pay_prob=0.5,
+            severity_mean=10.0,
+            severity_var=0.0,
+        )
+    assert any("lag_probs sum" in e for e in raised.value.args)
 
 
 def test_survival_monotonicity_violation_names_index():
-    params = ModelParams(
-        occurrence_years=2,
-        max_lag=1,
-        max_runoff=2,
-        expected_counts=10.0,
-        lag_probs=[1.0],
-        survival=[1.0, 0.5, 0.6],
-        pay_prob=0.5,
-        severity_mean=10.0,
-        severity_var=0.0,
-    )
-    errs = param_errors(params)
-    assert any("non-increasing at k=2" in e for e in errs)
+    with pytest.raises(ParameterError) as raised:
+        ModelParams(
+            occurrence_years=2,
+            max_lag=1,
+            max_runoff=2,
+            expected_counts=10.0,
+            lag_probs=[1.0],
+            survival=[1.0, 0.5, 0.6],
+            pay_prob=0.5,
+            severity_mean=10.0,
+            severity_var=0.0,
+        )
+    assert any("non-increasing at k=2" in e for e in raised.value.args)
 
 
 def test_all_violations_collected():
-    params = ModelParams(
-        occurrence_years=2,
-        max_lag=2,
-        max_runoff=1,
-        expected_counts=[-5.0, 10.0],
-        lag_probs=[0.5, 0.6],
-        survival=[0.9, 0.95],
-        pay_prob=[0.5, 1.5],
-        severity_mean=[[10.0, -1.0], [10.0, 10.0]],
-        severity_var=[[1.0, 1.0], [1.0, -2.0]],
-    )
-    errs = param_errors(params)
-    assert len(errs) >= 6
+    with pytest.raises(ParameterError) as raised:
+        ModelParams(
+            occurrence_years=2,
+            max_lag=2,
+            max_runoff=1,
+            expected_counts=[-5.0, 10.0],
+            lag_probs=[0.5, 0.6],
+            survival=[0.9, 0.95],
+            pay_prob=[0.5, 1.5],
+            severity_mean=[[10.0, -1.0], [10.0, 10.0]],
+            severity_var=[[1.0, 1.0], [1.0, -2.0]],
+        )
+    assert len(raised.value.args) >= 6
+    assert str(raised.value) == "; ".join(raised.value.args)
 
 
 #: Parameter sets built in code, from parameter arrays of kilobytes, whose
@@ -133,78 +126,67 @@ HUGE_WORLDS = {
 def test_world_built_in_code_is_bounded(world):
     tracemalloc.start()
     try:
-        params = ModelParams(
-            **HUGE_WORLDS[world], expected_counts=1.0, pay_prob=0.5, severity_mean=10.0, severity_var=20.0
-        )
-        errors = param_errors(params)
+        with pytest.raises(ParameterError) as raised:
+            ModelParams(**HUGE_WORLDS[world], expected_counts=1.0, pay_prob=0.5, severity_mean=10.0, severity_var=20.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    cells = math.prod(params.dims)
+    dims = HUGE_WORLDS[world]
+    cells = dims["occurrence_years"] * dims["max_lag"] * (dims["max_runoff"] + 1)
     assert cells > MAX_WORLD_CELLS
-    assert errors == [
-        f"occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"
-    ]
+    assert raised.value.args == (
+        f"occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}",
+    )
     assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
-    with pytest.raises(ParameterError, match="MAX_WORLD_CELLS"):
-        validate_params(params)
-    with pytest.raises(ParameterError, match="MAX_WORLD_CELLS"):
-        run_monte_carlo(params, 1, 0, ("total_reserve",))
 
 
-# Changes to the make_params set that break its rules.
+# Changes to the make_params set that break its rules, and the rules they break.
 INVALID_SETS = {
-    "lag_probs_sum_to_2": dict(lag_probs=[1.2, 0.8]),
-    "negative_severity_var": dict(severity_var=[[20.0, 20.0, 20.0], [20.0, -1.0, 20.0]]),
-    "pay_prob_1.5": dict(pay_prob=1.5),
-    "max_runoff_-1": dict(
-        max_runoff=-1, survival=[], pay_prob=[], severity_mean=np.empty((2, 0)), severity_var=np.empty((2, 0))
+    "lag_probs_sum_to_2": (dict(lag_probs=[1.2, 0.8]), ["lag_probs sum 2.0 != 1 (tolerance 1e-09)"]),
+    "negative_severity_var": (
+        dict(severity_var=[[20.0, 20.0, 20.0], [20.0, -1.0, 20.0]]),
+        ["severity_var[1,1] = -1.0 is negative"],
+    ),
+    "pay_prob_1.5": (dict(pay_prob=1.5), [f"pay_prob[{k}] = 1.5 outside [0, 1]" for k in range(3)]),
+    "max_runoff_-1": (
+        dict(max_runoff=-1, survival=[], pay_prob=[], severity_mean=np.empty((2, 0)), severity_var=np.empty((2, 0))),
+        ["max_runoff must be >= 0, got -1"],
     ),
     # 2**26 cells from kilobyte arrays, as in test_world_built_in_code_is_bounded
-    "over_max_world_cells": dict(
-        occurrence_years=2**13,
-        max_lag=2**12,
-        max_runoff=1,
-        expected_counts=1.0,
-        lag_probs=np.full(2**12, 2.0**-12),
-        survival=[1.0, 0.5],
-        pay_prob=0.5,
-        severity_mean=10.0,
-        severity_var=20.0,
+    "over_max_world_cells": (
+        dict(
+            occurrence_years=2**13,
+            max_lag=2**12,
+            max_runoff=1,
+            expected_counts=1.0,
+            lag_probs=np.full(2**12, 2.0**-12),
+            survival=[1.0, 0.5],
+            pay_prob=0.5,
+            severity_mean=10.0,
+            severity_var=20.0,
+        ),
+        [f"occurrence_years: the world has I*J*(K+1) = {2**26} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"],
     ),
-}
-
-ENTRY_POINTS = {
-    "simulate_counts": lambda params: simulate_counts(RandomStream(7), params),
-    "simulate_path": lambda params: simulate_path(RandomStream(7), params),
-    "replicate_path": lambda params: replicate_path(params, 7, 4),
-    "replicate_path_retained": lambda params: replicate_path(params, 7, 4, retain_severities=True),
-    "block_replicates": block_replicates,
-    "analytic_reserve_moments": analytic_reserve_moments,
-    "run_monte_carlo_1": lambda params: run_monte_carlo(params, 5, 7, workers=1),
-    "run_monte_carlo_2": lambda params: run_monte_carlo(params, 5, 7, workers=2),
-    "compare_2d_3d": lambda params: compare_2d_3d(params, 5, 7),
 }
 
 
 @pytest.mark.parametrize("invalid", INVALID_SETS)
-def test_every_entry_point_raises_the_rules_of_validate_params(make_params, invalid):
-    # ModelParams._kernel is the one gate: each reader of a parameter set
-    # raises validate_params's text before it draws or builds a per-cell table.
+@pytest.mark.parametrize("build", ["direct", "replace"])
+def test_a_set_that_breaks_a_rule_is_not_built(make_params, invalid, build):
+    # The constructor raises every broken rule, before the kernel's constants
+    # or any per-cell array are built, so no reader ever sees such a set.
+    change, rules = INVALID_SETS[invalid]
     valid = make_params()
-    with pytest.raises(ParameterError) as rules:
-        validate_params(dataclasses.replace(valid, **INVALID_SETS[invalid]))
-    for name, call in ENTRY_POINTS.items():
-        params = dataclasses.replace(valid, **INVALID_SETS[invalid])  # fresh: nothing cached yet
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParameterError) as raised:
-                call(params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert str(raised.value) == str(rules.value), name
-        assert peak < 16 * 2**20, f"{name}: peak traced memory {peak / 2**20:.1f} MiB"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError) as raised:
+            make_params(**change) if build == "direct" else dataclasses.replace(valid, **change)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(raised.value.args) == rules
+    assert str(raised.value) == "; ".join(rules)
+    assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
@@ -227,9 +209,10 @@ def test_a_dimension_must_be_an_integer(make_params, key, value):
             make_expected_counts(150.0, 0.03, value)
         else:
             dataclasses.replace(make_params(), **{key: value})
-    if key != "years":  # an integer out of range breaks a rule of param_errors instead
-        out_of_range = dataclasses.replace(make_params(), **{key: -2})
-        assert param_errors(out_of_range) == [f"{key} must be >= {0 if key == 'max_runoff' else 1}, got -2"]
+    if key != "years":  # an integer out of range breaks a dimension rule instead
+        with pytest.raises(ParameterError) as raised:
+            dataclasses.replace(make_params(), **{key: -2})
+        assert raised.value.args == (f"{key} must be >= {0 if key == 'max_runoff' else 1}, got -2",)
 
 
 def test_claims_built_in_code_are_bounded():
@@ -246,13 +229,10 @@ def test_claims_built_in_code_are_bounded():
             severity_var=20.0,
         )
 
-    assert param_errors(params([2.0**61, 2.0**60, 2.0**60])) == []
-    too_many = params([2.0**61, 2.0**61, 2.0**52])
-    assert param_errors(too_many) == [f"expected_counts sum to {2.0**62 + 2.0**52!r} claims, more than 2**62"]
-    with pytest.raises(ParameterError, match="expected_counts"):
-        validate_params(too_many)
-    with pytest.raises(ParameterError, match="expected_counts"):
-        run_monte_carlo(too_many, 1, 0, ("total_reserve",))
+    params([2.0**61, 2.0**60, 2.0**60])
+    with pytest.raises(ParameterError, match="expected_counts") as raised:
+        params([2.0**61, 2.0**61, 2.0**52])
+    assert raised.value.args == (f"expected_counts sum to {2.0**62 + 2.0**52!r} claims, more than 2**62",)
 
 
 def test_severity_cells_that_overflow_are_named_built_in_code():
@@ -261,23 +241,20 @@ def test_severity_cells_that_overflow_are_named_built_in_code():
     mean[0, 1], var[0, 1] = 1e200, 1e-10  # the Gamma shape mean**2 / var overflows
     mean[1, 0], var[1, 0] = 1e154, 1.7e308  # var + mean**2 overflows
     mean[1, 1], var[1, 1] = 1e150, 0.0  # a point mass whose mean**2 is finite
-    params = ModelParams(
-        occurrence_years=3,
-        max_lag=2,
-        max_runoff=1,
-        expected_counts=5.0,
-        lag_probs=[0.5, 0.5],
-        survival=[1.0, 0.5],
-        pay_prob=0.5,
-        severity_mean=mean,
-        severity_var=var,
-    )
-    names = [e.split(" = ")[0] for e in param_errors(params)]
+    with pytest.raises(ParameterError, match=r"severity_mean\[0,0\]") as raised:
+        ModelParams(
+            occurrence_years=3,
+            max_lag=2,
+            max_runoff=1,
+            expected_counts=5.0,
+            lag_probs=[0.5, 0.5],
+            survival=[1.0, 0.5],
+            pay_prob=0.5,
+            severity_mean=mean,
+            severity_var=var,
+        )
+    names = [e.split(" = ")[0] for e in raised.value.args]
     assert names == ["severity_mean[0,0]", "severity_mean[0,1]", "severity_mean[1,0]"]
-    with pytest.raises(ParameterError, match=r"severity_mean\[0,0\]"):
-        validate_params(params)
-    with pytest.raises(ParameterError, match=r"severity_mean\[1,0\]"):
-        run_monte_carlo(params, 1, 0, ("total_reserve",))
 
 
 def test_survival_plateau_validates_without_warning(make_params):

@@ -27,7 +27,6 @@ from claimcube import (
     cumulate,
     default_config,
     estimate_severity,
-    param_errors,
     parse_config,
     reserve_breakdown,
     simulate_counts,
@@ -584,4 +583,5 @@ def test_calibrated_params_of_a_retained_world_validate(params, seed):
     except EstimationError:
         assert world.claims.counts[:, :, 0].sum() == 0  # only a world without claims has no estimate
         return
-    assert param_errors(estimated) == []
+    # A set that breaks a rule raises in its constructor: this one was built.
+    assert isinstance(estimated, ModelParams) and estimated.dims == params.dims
