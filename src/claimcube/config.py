@@ -94,7 +94,7 @@ def parse_config(mapping: dict) -> RunConfig:
 
     output_dir = run.get("output_dir", DEFAULT_OUTPUT_DIR)
     if not isinstance(output_dir, str) or not output_dir:
-        errs.append(f"run.output_dir: expected a non-empty string, got {output_dir!r}")
+        errs.append(f"run.output_dir must be a non-empty string, got {output_dir!r}")
 
     if errs:
         raise ParameterError("invalid configuration:\n  - " + "\n  - ".join(errs))

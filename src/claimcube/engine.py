@@ -24,14 +24,14 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .aggregate import MomentPair, _world_statistics
-from .errors import ParameterError, _require_integer
+from .errors import ParameterError, _require_integer, integer_error
 from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path
-from .streams import RandomStream, seed_error
+from .streams import MAX_SEED, RandomStream
 
 __all__ = [
     "BLOCK_CELLS",
@@ -87,25 +87,22 @@ class EmpiricalDistribution:
 def run_errors(
     replicates=1, master_seed=0, statistics=DEFAULT_STATISTICS, quantile_levels=DEFAULT_QUANTILE_LEVELS
 ) -> list[str]:
-    """Every broken run-setting rule as ``"<setting>: <what is wrong>"``; the defaults are valid.
+    """Every broken run-setting rule, each message naming its setting; the defaults are valid.
 
     ``replicates`` is an integer >= 1, ``master_seed`` one in 0 .. 2**64 - 1, ``statistics``
     a non-empty list or tuple of distinct :data:`SUPPORTED_STATISTICS` names, ``quantile_levels``
     a list or tuple of distinct numbers strictly inside (0, 1); a bool is no number.
     """
-    errs: list[str] = []
-    if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
-        errs.append(f"replicates: expected an integer >= 1, got {replicates!r}")
-    if seed := seed_error("master_seed", master_seed):
-        errs.append(seed)
+    integers = (integer_error("replicates", replicates, 1), integer_error("master_seed", master_seed, 0, MAX_SEED))
+    errs = [error for error in integers if error]
     if not isinstance(statistics, (list, tuple)) or not statistics:
-        errs.append(f"statistics: expected a non-empty list, got {statistics!r}")
+        errs.append(f"statistics must be a non-empty list, got {statistics!r}")
     else:
         supported = list(SUPPORTED_STATISTICS)
         errs.extend(f"statistics: unknown statistic {s!r} (supported: {supported})" for s in statistics if s not in supported)
         errs.extend(f"statistics: duplicate entry {s!r}" for n, s in enumerate(statistics) if s in statistics[:n])
     if not isinstance(quantile_levels, (list, tuple)):
-        errs.append(f"quantile_levels: expected a list, got {quantile_levels!r}")
+        errs.append(f"quantile_levels must be a list, got {quantile_levels!r}")
     else:
         for n, x in enumerate(quantile_levels):
             if isinstance(x, bool) or not isinstance(x, Real) or not 0.0 < x < 1.0:

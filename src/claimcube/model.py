@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, _require_integer
+from .errors import ParameterError, _require_integer, _shown, integer_error
 from .streams import BINOMIAL, GAMMA, POISSON, PROB_TOL, RandomStream, gamma_shape_scale
 
 __all__ = [
@@ -69,8 +69,12 @@ __all__ = [
 MAX_WORLD_CELLS = 2**25
 
 
-#: The dimensions of a parameter set, each an integer.
+#: The dimensions of a parameter set.
 _DIMENSIONS = ("occurrence_years", "max_lag", "max_runoff")
+
+#: The bounds of each integer value: a dimension's minimum, and the range of
+#: the ``years`` of a growth curve, :func:`make_expected_counts`.
+_INTEGERS = {"occurrence_years": (1,), "max_lag": (1,), "max_runoff": (0,), "years": (1, MAX_WORLD_CELLS)}
 
 #: Each array field's axes, as indices into ``ModelParams.dims`` (I, J, K+1).
 _AXES = {
@@ -81,6 +85,16 @@ _AXES = {
 #: The array fields a scalar may stand for, broadcast to the field's full shape.
 _BROADCAST = ("expected_counts", "pay_prob", "severity_mean", "severity_var")
 
+#: Each array field's range rule: its broken cells, and what is wrong with each.
+_RANGES = {
+    "expected_counts": (lambda x: x < 0, "is negative"),
+    "lag_probs": (lambda x: x < 0, "is negative"),
+    "survival": (lambda x: (x < 0) | (x > 1), "outside [0, 1]"),
+    "pay_prob": (lambda x: (x < 0) | (x > 1), "outside [0, 1]"),
+    "severity_mean": (lambda x: x <= 0, "must be > 0"),
+    "severity_var": (lambda x: x < 0, "is negative"),
+}
+
 #: The lower bound of each argument of a growth curve, :func:`make_expected_counts`.
 _CURVE = {"base": 0, "growth": -1}
 
@@ -89,20 +103,17 @@ def _form_errors(**values) -> list[str]:
     """Every broken rule on the form of :class:`ModelParams` fields and of the
     ``base``, ``growth`` and ``years`` of :func:`make_expected_counts`.
 
-    A dimension is an integer, not a bool; an array field is numeric with the
-    field's number of axes, or a scalar where :class:`ModelParams` broadcasts
-    one; ``base`` and ``growth`` are finite real numbers above their bounds;
-    ``years`` lies in 1 .. :data:`MAX_WORLD_CELLS`.  Ranges are :func:`validate_params`'s.
+    A dimension is an integer, not a bool, of at least its minimum, and
+    ``years`` one in 1 .. :data:`MAX_WORLD_CELLS`; an array field is numeric
+    with the field's number of axes, or a scalar where :class:`ModelParams`
+    broadcasts one; ``base`` and ``growth`` are finite real numbers above their
+    bounds.  Ranges are :func:`validate_params`'s.
     """
     errs: list[str] = []
     for key, value in values.items():
-        integer = not isinstance(value, bool) and isinstance(value, Integral)
-        if key in _DIMENSIONS:
-            if not integer:
-                errs.append(f"{key} must be an integer, got {value!r}")
-        elif key == "years":
-            if not (integer and 1 <= value <= MAX_WORLD_CELLS):
-                errs.append(f"years must be an integer in 1 .. MAX_WORLD_CELLS = {MAX_WORLD_CELLS}, got {_shown(value)}")
+        if key in _INTEGERS:
+            if error := integer_error(key, value, *_INTEGERS[key]):
+                errs.append(error)
         elif key in _CURVE:
             try:
                 ok = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
@@ -125,25 +136,11 @@ def _form_errors(**values) -> list[str]:
 
 
 def _dimension_errors(occurrence_years: int, max_lag: int, max_runoff: int) -> list[str]:
-    """The rules on integer dimensions: each at least its minimum, then at most
-    :data:`MAX_WORLD_CELLS` cells.  They are checked before any array is broadcast."""
-    errs: list[str] = []
-    if occurrence_years < 1:
-        errs.append(f"occurrence_years must be >= 1, got {occurrence_years}")
-    if max_lag < 1:
-        errs.append(f"max_lag must be >= 1, got {max_lag}")
-    if max_runoff < 0:
-        errs.append(f"max_runoff must be >= 0, got {max_runoff}")
-    if not errs and (cells := occurrence_years * max_lag * (max_runoff + 1)) > MAX_WORLD_CELLS:
-        errs.append(f"occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}")
-    return errs
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or the size of an integer past float range."""
-    if isinstance(value, int) and value.bit_length() > 1024:
-        return f"a {value.bit_length()}-bit integer"
-    return repr(value)
+    """The world bound on dimensions that pass their form rules: at most
+    :data:`MAX_WORLD_CELLS` cells.  It is checked before any array is broadcast."""
+    if (cells := occurrence_years * max_lag * (max_runoff + 1)) > MAX_WORLD_CELLS:
+        return [f"occurrence_years: the world has I*J*(K+1) = {cells} cells, more than MAX_WORLD_CELLS = {MAX_WORLD_CELLS}"]
+    return []
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -250,27 +247,29 @@ def make_expected_counts(base: float, growth: float, years: int) -> np.ndarray:
 def validate_params(params: ModelParams) -> ModelParams:
     """Return ``params`` if it breaks no range rule, else raise a
     :class:`ParameterError` whose ``args`` are the broken rules, each with
-    index and value: shapes, finiteness, signs, sums and overflows.
+    index and value: per field its shape, finiteness and range, then the rules
+    across cells (total claims, the lag sum, survival's start and order) and
+    the severity overflows.
 
     The range rules are the last check of the :class:`ModelParams`
     constructor, which calls this function, so it returns every built set
     unchanged; calling it again re-checks a set that cannot fail.
     """
     errs: list[str] = []
-    n_i, n_j, n_k = params.dims
-
-    def check_shape(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> bool:
+    ok = set()  # the fields of the right shape with finite values
+    for name, axes in _AXES.items():
+        arr, shape = getattr(params, name), tuple(params.dims[axis] for axis in axes)
         if arr.shape != shape:
             errs.append(f"{name} has shape {arr.shape}, expected {shape}")
-            return False
-        if not np.all(np.isfinite(arr)):
+        elif not np.all(np.isfinite(arr)):
             errs.append(f"{name} contains non-finite values")
-            return False
-        return True
+        else:
+            broken, wrong = _RANGES[name]
+            for cell in zip(*np.nonzero(broken(arr))):
+                errs.append(f"{name}[{','.join(map(str, cell))}] = {arr[cell]} {wrong}")
+            ok.add(name)
 
-    if check_shape("expected_counts", params.expected_counts, (n_i,)):
-        for i in np.nonzero(params.expected_counts < 0)[0]:
-            errs.append(f"expected_counts[{i}] = {params.expected_counts[i]} is negative")
+    if "expected_counts" in ok:
         # Every claim count, and every sum of counts, is at most the world's
         # total claims.  Bounding their mean at 2**62 keeps them far below
         # int64's 2**63 and numpy's Poisson limit (about 9.2e18).
@@ -278,39 +277,21 @@ def validate_params(params: ModelParams) -> ModelParams:
             total = float(params.expected_counts.sum())
         if total > 2**62:
             errs.append(f"expected_counts sum to {total!r} claims, more than 2**62")
-
-    if check_shape("lag_probs", params.lag_probs, (n_j,)):
-        for j in np.nonzero(params.lag_probs < 0)[0]:
-            errs.append(f"lag_probs[{j}] = {params.lag_probs[j]} is negative")
+    if "lag_probs" in ok:
         total = float(params.lag_probs.sum())
         if abs(total - 1.0) > PROB_TOL:
             errs.append(f"lag_probs sum {total} != 1 (tolerance {PROB_TOL})")
-
-    if check_shape("survival", params.survival, (n_k,)):
+    if "survival" in ok:
         eta = params.survival
         if eta[0] != 1.0:
             errs.append(f"survival[0] = {eta[0]} != 1")
-        for k in np.nonzero((eta < 0) | (eta > 1))[0]:
-            errs.append(f"survival[{k}] = {eta[k]} outside [0, 1]")
         for k in np.nonzero(np.diff(eta) > 0)[0]:
             errs.append(f"survival not non-increasing at k={k + 1} ({eta[k]} -> {eta[k + 1]})")
 
-    if check_shape("pay_prob", params.pay_prob, (n_k,)):
-        for k in np.nonzero((params.pay_prob < 0) | (params.pay_prob > 1))[0]:
-            errs.append(f"pay_prob[{k}] = {params.pay_prob[k]} outside [0, 1]")
-
-    mean, var = params.severity_mean, params.severity_var
-    if mean_ok := check_shape("severity_mean", mean, (n_j, n_k)):
-        for j, k in zip(*np.nonzero(mean <= 0)):
-            errs.append(f"severity_mean[{j},{k}] = {mean[j, k]} must be > 0")
-
-    if var_ok := check_shape("severity_var", var, (n_j, n_k)):
-        for j, k in zip(*np.nonzero(var < 0)):
-            errs.append(f"severity_var[{j},{k}] = {var[j, k]} is negative")
-
-    if mean_ok and var_ok:
+    if {"severity_mean", "severity_var"} <= ok:
         # The kernel draws Gamma(nu * shape, scale) and the closed-form
         # moments use var + mean**2: all must be finite.
+        mean, var = params.severity_mean, params.severity_var
         with np.errstate(all="ignore"):  # an overflow is inf, rejected here
             shape, scale = gamma_shape_scale(mean, var)
             finite_gamma = np.isfinite(shape) & np.isfinite(scale)

@@ -27,11 +27,10 @@ handles without a draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import _require_integer
 
 __all__ = ["RandomStream", "gamma_shape_scale"]
 
@@ -43,12 +42,8 @@ POISSON, BINOMIAL, GAMMA, SEVERITY = range(4)
 PROB_TOL = 1e-9
 
 
-def seed_error(name: str, value) -> str | None:
-    """``"<name>: <what is wrong>"`` unless ``value`` is a seed or stream id: an
-    integer, not a bool, in 0 .. 2**64 - 1 (an unsigned 64-bit integer)."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not 0 <= value < 2**64:
-        return f"{name}: expected an integer in 0 .. 2**64 - 1, got {value!r}"
-    return None
+#: Largest master seed or stream id: a seed is an unsigned 64-bit integer.
+MAX_SEED = 2**64 - 1
 
 
 @dataclass(eq=False)
@@ -67,8 +62,7 @@ class RandomStream:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
-            if error := seed_error(name, getattr(self, name)):
-                raise ParameterError(error)
+            _require_integer(name, getattr(self, name), 0, MAX_SEED)
         self._gens = tuple(self._spawn(stage) for stage in (POISSON, BINOMIAL, GAMMA))
 
     def _spawn(self, key: int) -> np.random.Generator:

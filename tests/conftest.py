@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from claimcube import ModelParams, validate_params
+from claimcube import ModelParams
 
 
 @pytest.fixture
 def make_params():
-    """Factory for small validated parameter sets with sensible defaults."""
+    """Factory for small parameter sets with sensible defaults; a set that breaks a rule is not built."""
 
     def _make(
         occurrence_years=3,
@@ -19,18 +19,16 @@ def make_params():
         severity_mean=10.0,
         severity_var=20.0,
     ):
-        return validate_params(
-            ModelParams(
-                occurrence_years=occurrence_years,
-                max_lag=max_lag,
-                max_runoff=max_runoff,
-                expected_counts=expected_counts,
-                lag_probs=np.asarray(lag_probs, dtype=float),
-                survival=np.asarray(survival, dtype=float),
-                pay_prob=pay_prob,
-                severity_mean=severity_mean,
-                severity_var=severity_var,
-            )
+        return ModelParams(
+            occurrence_years=occurrence_years,
+            max_lag=max_lag,
+            max_runoff=max_runoff,
+            expected_counts=expected_counts,
+            lag_probs=np.asarray(lag_probs, dtype=float),
+            survival=np.asarray(survival, dtype=float),
+            pay_prob=pay_prob,
+            severity_mean=severity_mean,
+            severity_var=severity_var,
         )
 
     return _make

@@ -161,6 +161,9 @@ def test_severity_requires_retention(make_params):
     path = simulate_path(RandomStream(54, 0), make_params())
     with pytest.raises(EstimationError, match="retain_severities"):
         estimate_severity(path)
+    counts_only = SimulationPath(params=path.params, claims=ClaimTensor(path.claims.counts), payments=path.payments)
+    with pytest.raises(EstimationError, match="^path has no payment counts; simulate payments first$"):
+        estimate_pay_prob(counts_only)
 
 
 # --- round trips ----------------------------------------------------------------

@@ -28,6 +28,8 @@ from claimcube import (
     parse_config,
     replicate_path,
     run_monte_carlo,
+    simulate_counts,
+    simulate_path,
     triangle_occurrence,
     triangle_reporting,
     write_config,
@@ -120,25 +122,25 @@ def test_huge_occurrence_years_named(years):
     assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
-SEED_RANGE = "expected an integer in 0 .. 2**64 - 1"
+SEED_RANGE = "must be an integer in 0 .. 2**64 - 1"
 
 #: (setting, bad value, the message configuration files and the Python API give)
 BAD_RUN_SETTINGS = [
-    ("replicates", 0, "replicates: expected an integer >= 1, got 0"),
-    ("replicates", 2.5, "replicates: expected an integer >= 1, got 2.5"),
-    ("replicates", True, "replicates: expected an integer >= 1, got True"),
-    ("master_seed", 1.7, f"master_seed: {SEED_RANGE}, got 1.7"),
-    ("master_seed", True, f"master_seed: {SEED_RANGE}, got True"),
-    ("master_seed", -1, f"master_seed: {SEED_RANGE}, got -1"),
-    ("master_seed", 2**64, f"master_seed: {SEED_RANGE}, got {2**64}"),
+    ("replicates", 0, "replicates must be an integer >= 1, got 0"),
+    ("replicates", 2.5, "replicates must be an integer >= 1, got 2.5"),
+    ("replicates", True, "replicates must be an integer >= 1, got True"),
+    ("master_seed", 1.7, f"master_seed {SEED_RANGE}, got 1.7"),
+    ("master_seed", True, f"master_seed {SEED_RANGE}, got True"),
+    ("master_seed", -1, f"master_seed {SEED_RANGE}, got -1"),
+    ("master_seed", 2**64, f"master_seed {SEED_RANGE}, got {2**64}"),
     ("statistics", ["total_reserve", "total_reserve"], "statistics: duplicate entry 'total_reserve'"),
-    ("statistics", "total_reserve", "statistics: expected a non-empty list, got 'total_reserve'"),
-    ("statistics", [], "statistics: expected a non-empty list, got []"),
+    ("statistics", "total_reserve", "statistics must be a non-empty list, got 'total_reserve'"),
+    ("statistics", [], "statistics must be a non-empty list, got []"),
     ("statistics", ["bogus"], f"statistics: unknown statistic 'bogus' (supported: {list(SUPPORTED_STATISTICS)})"),
     ("quantile_levels", [0.9, 0.9, 0.5], "quantile_levels: duplicate entry 0.9"),
     ("quantile_levels", [0.5, 1.0], "quantile_levels: level 1.0 must lie strictly inside (0, 1)"),
     ("quantile_levels", [True], "quantile_levels: level True must lie strictly inside (0, 1)"),
-    ("quantile_levels", 0.9, "quantile_levels: expected a list, got 0.9"),
+    ("quantile_levels", 0.9, "quantile_levels must be a list, got 0.9"),
 ]
 
 
@@ -181,10 +183,10 @@ NUMBER = "must be a finite number"
 #: (model value, bad value, the message configuration files and the Python API give);
 #: ``base`` and ``growth`` are those of a growth curve, ``years`` its length in Python.
 BAD_MODEL_VALUES = [
-    ("occurrence_years", 2.5, "occurrence_years must be an integer, got 2.5"),
-    ("max_lag", True, "max_lag must be an integer, got True"),
-    ("max_runoff", "15", "max_runoff must be an integer, got '15'"),
-    ("occurrence_years", None, "occurrence_years must be an integer, got None"),
+    ("occurrence_years", 2.5, "occurrence_years must be an integer >= 1, got 2.5"),
+    ("max_lag", True, "max_lag must be an integer >= 1, got True"),
+    ("max_runoff", "15", "max_runoff must be an integer >= 0, got '15'"),
+    ("occurrence_years", None, "occurrence_years must be an integer >= 1, got None"),
     ("expected_counts", "abc", "expected_counts must be a numeric array"),
     ("severity_var", {"a": 1}, "severity_var must be a numeric array"),
     ("pay_prob", [[1], [2, 3]], "pay_prob must be a numeric array"),
@@ -196,7 +198,7 @@ BAD_MODEL_VALUES = [
     ("base", "x", f"expected_counts.base {NUMBER} > 0, got 'x'"),
     ("base", 10**400, f"expected_counts.base {NUMBER} > 0, got a 1329-bit integer"),
     ("growth", None, f"expected_counts.growth {NUMBER} > -1, got None"),
-    ("years", 2**70, f"years must be an integer in 1 .. MAX_WORLD_CELLS = {MAX_WORLD_CELLS}, got {2**70}"),
+    ("years", 2**70, f"years must be an integer in 1 .. {MAX_WORLD_CELLS}, got {2**70}"),
 ]
 
 
@@ -219,6 +221,63 @@ def test_config_files_and_the_python_api_reject_a_model_value_alike(key, value, 
     assert str(err.value).splitlines() == ["invalid configuration:", f"  - model.{message}"]
 
 
+#: Every integer input: the bounds of its one rule, and every Python entry
+#: point that takes it, as a call of ``(params, value)``.
+INTEGER_INPUTS = {
+    "occurrence_years": ((1, None), [lambda p, v: dataclasses.replace(p, occurrence_years=v)]),
+    "max_lag": ((1, None), [lambda p, v: dataclasses.replace(p, max_lag=v)]),
+    "max_runoff": ((0, None), [lambda p, v: dataclasses.replace(p, max_runoff=v)]),
+    "years": ((1, MAX_WORLD_CELLS), [lambda p, v: make_expected_counts(150.0, 0.03, v)]),
+    "replicates": ((1, None), [lambda p, v: run_monte_carlo(p, v, 1), lambda p, v: compare_2d_3d(p, v, 1)]),
+    "master_seed": (
+        (0, 2**64 - 1),
+        [
+            lambda p, v: run_monte_carlo(p, 3, v),
+            lambda p, v: compare_2d_3d(p, 3, v),
+            lambda p, v: replicate_path(p, v, 0),
+            lambda p, v: RandomStream(v),
+        ],
+    ),
+    "stream_id": ((0, 2**64 - 1), [lambda p, v: RandomStream(1, v)]),
+    "workers": ((1, None), [lambda p, v: run_monte_carlo(p, 3, 1, workers=v)]),
+    "replicate": ((0, None), [lambda p, v: replicate_path(p, 1, v)]),
+    "size": (
+        (1, None),
+        [lambda p, v: simulate_counts(RandomStream(1), p, v), lambda p, v: simulate_path(RandomStream(1), p, size=v)],
+    ),
+}
+
+BOUNDS_TEXT = {(1, None): ">= 1", (0, None): ">= 0", (1, MAX_WORLD_CELLS): f"in 1 .. {MAX_WORLD_CELLS}", (0, 2**64 - 1): "in 0 .. 2**64 - 1"}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (key, value)
+        for key, ((low, high), _) in INTEGER_INPUTS.items()
+        for value in [low - 1, 2.5, True, "3"] + ([] if high is None else [high + 1])
+    ],
+)
+def test_every_integer_input_follows_one_rule(key, value):
+    (low, high), calls = INTEGER_INPUTS[key]
+    message = f"{key} must be an integer {BOUNDS_TEXT[low, high]}, got {value!r}"
+    params = default_params()
+    for call in calls:
+        with pytest.raises(ParameterError) as err:
+            call(params, value)
+        assert err.value.args == (message,)
+    section = {"occurrence_years": "model", "max_lag": "model", "max_runoff": "model", "replicates": "run", "master_seed": "run"}
+    if key not in section:  # no configuration key
+        return
+    if section[key] == "run":
+        assert run_errors(**{key: value}) == [message]
+    mapping = default_config()
+    mapping[section[key]][key] = value
+    with pytest.raises(ParameterError) as err:
+        parse_config(mapping)
+    assert str(err.value).splitlines() == ["invalid configuration:", f"  - {section[key]}.{message}"]
+
+
 def test_every_offending_model_value_is_named_at_once():
     mapping = default_config()
     model = mapping["model"]
@@ -232,7 +291,7 @@ def test_every_offending_model_value_is_named_at_once():
         f"  - model.expected_counts.base {NUMBER} > 0, got True",
         f"  - model.expected_counts.growth {NUMBER} > -1, got None",
         "  - model.lag_probs must be a numeric array",
-        "  - model.occurrence_years must be an integer, got 2.5",
+        "  - model.occurrence_years must be an integer >= 1, got 2.5",
         "  - model.pay_prob must be a number or a 1-D array, got shape (1, 1)",
     ]
 
@@ -622,7 +681,7 @@ def test_master_seed_past_64_bits_is_named(tmp_path, capsys, source):
         assert main([command, "--config", cfg, "--out", str(out), *extra]) == 1
         header, line = capsys.readouterr().err.strip().splitlines()
         assert header == "error: invalid configuration:"
-        assert line.startswith("  - run.master_seed: ")
+        assert line == f"  - run.master_seed {SEED_RANGE}, got {2**64}"
         assert not out.exists()
 
 

@@ -89,6 +89,8 @@ def test_empty_distribution_is_a_state_error():
     empty = dist([])
     with pytest.raises(ValueError):
         value_at_risk(empty, 0.5)
+    with pytest.raises(ValueError, match="^expected_shortfall of an empty distribution$"):
+        expected_shortfall(empty, 0.5)
     with pytest.raises(ValueError):
         build_risk_report(empty, ())
 
@@ -199,8 +201,8 @@ def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
 def test_unknown_statistic_rejected(make_params):
     for statistics, message in (
         (("nope",), "statistics: unknown statistic 'nope'"),
-        ((), "statistics: expected a non-empty list"),  # a config with an empty list is rejected too
-        ("total_reserve", "statistics: expected a non-empty list"),  # not read as the names 't', 'o', ...
+        ((), "statistics must be a non-empty list"),  # a config with an empty list is rejected too
+        ("total_reserve", "statistics must be a non-empty list"),  # not read as the names 't', 'o', ...
     ):
         with pytest.raises(ParameterError, match=message):
             run_monte_carlo(make_params(), 2, 1, statistics=statistics)

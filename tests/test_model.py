@@ -148,9 +148,12 @@ INVALID_SETS = {
         ["severity_var[1,1] = -1.0 is negative"],
     ),
     "pay_prob_1.5": (dict(pay_prob=1.5), [f"pay_prob[{k}] = 1.5 outside [0, 1]" for k in range(3)]),
+    "expected_counts_nan": (dict(expected_counts=[40.0, np.nan, 40.0]), ["expected_counts contains non-finite values"]),
+    "negative_lag_prob": (dict(lag_probs=[1.2, -0.2]), ["lag_probs[1] = -0.2 is negative"]),
+    "survival_below_0": (dict(survival=[1.0, 0.5, -0.1]), ["survival[2] = -0.1 outside [0, 1]"]),
     "max_runoff_-1": (
         dict(max_runoff=-1, survival=[], pay_prob=[], severity_mean=np.empty((2, 0)), severity_var=np.empty((2, 0))),
-        ["max_runoff must be >= 0, got -1"],
+        ["max_runoff must be an integer >= 0, got -1"],
     ),
     # 2**26 cells from kilobyte arrays, as in test_world_built_in_code_is_bounded
     "over_max_world_cells": (
@@ -209,10 +212,10 @@ def test_a_dimension_must_be_an_integer(make_params, key, value):
             make_expected_counts(150.0, 0.03, value)
         else:
             dataclasses.replace(make_params(), **{key: value})
-    if key != "years":  # an integer out of range breaks a dimension rule instead
+    if key != "years":  # an integer below its minimum breaks the same rule
         with pytest.raises(ParameterError) as raised:
             dataclasses.replace(make_params(), **{key: -2})
-        assert raised.value.args == (f"{key} must be >= {0 if key == 'max_runoff' else 1}, got -2",)
+        assert raised.value.args == (f"{key} must be an integer >= {0 if key == 'max_runoff' else 1}, got -2",)
 
 
 def test_claims_built_in_code_are_bounded():
