@@ -11,9 +11,11 @@ simulate -> estimate -> re-simulate.  They take one world: a block path is a
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, ParameterError
 from .model import ModelParams, SimulationPath, _require_world
 
 __all__ = [
@@ -61,9 +63,14 @@ def estimate_pay_prob(path: SimulationPath) -> np.ndarray:
 def estimate_severity(path: SimulationPath) -> tuple[np.ndarray, np.ndarray]:
     """Per-(lag, run-off) sample mean and variance of individual payments.
 
-    Requires a path simulated with ``retain_severities=True``.  The variance
-    uses the (n-1) denominator; cells without payments are NaN in both
-    outputs, cells with a single payment have a NaN variance.
+    Requires a path simulated with ``retain_severities=True``, or one whose
+    ``severities`` map (lag, run-off) cells to amounts.  It reads
+    ``severities.items()`` once: a retained world replays its amounts run by
+    run, so the estimate holds one run of them, not the world.  The variance
+    uses the (n-1) denominator; cells without payments, an empty array of
+    amounts included, are NaN in both outputs, cells with a single payment
+    have a NaN variance.  A key that is not a cell ``(j, k)`` with
+    ``0 <= j < J`` and ``0 <= k <= K`` is a :class:`ParameterError` naming it.
     """
     _require_world(path, "estimate_severity")
     if path.severities is None:
@@ -75,12 +82,24 @@ def estimate_severity(path: SimulationPath) -> tuple[np.ndarray, np.ndarray]:
     var = np.full((n_j, n_k), np.nan)
     # The sums and quotients that ndarray.mean() and var(ddof=1) take, bit for
     # bit, without their per-call overhead: a world has hundreds of pools.
-    for (j, k), amounts in path.severities.items():
+    for cell, amounts in path.severities.items():
+        try:
+            j, k = cell
+            j, k = index(j), index(k)
+        except (TypeError, ValueError):
+            j = k = -1
+        if not (0 <= j < n_j and 0 <= k < n_k):
+            raise ParameterError(
+                f"severities: key {cell!r} is outside the (lag, run-off) cells 0..{n_j - 1} x 0..{n_k - 1}"
+            )
         n = amounts.size
+        if n == 0:
+            continue
         mean[j, k] = np.add.reduce(amounts) / n
         if n >= 2:
             d = amounts - mean[j, k]
-            var[j, k] = np.add.reduce(d * d) / (n - 1)
+            d *= d  # in place, as ndarray.var squares: one pool-sized temporary, not two
+            var[j, k] = np.add.reduce(d) / (n - 1)
     return mean, var
 
 

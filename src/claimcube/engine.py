@@ -30,7 +30,7 @@ import numpy as np
 
 from .aggregate import MomentPair, _world_statistics
 from .errors import ParameterError, _require_integer, integer_error
-from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path
+from .model import ClaimTensor, ModelParams, PaymentTensor, RetainedSeverities, SimulationPath, simulate_path
 from .streams import MAX_SEED, RandomStream
 
 __all__ = [
@@ -121,6 +121,11 @@ def _require_run(**settings) -> None:
 def value_at_risk(dist: EmpiricalDistribution, level: float) -> float:
     """Empirical VaR: the order statistic at 1-based rank ceil(level * R)."""
     _require_run(quantile_levels=(level,))
+    return _value_at_risk(dist, level)
+
+
+def _value_at_risk(dist: EmpiricalDistribution, level: float) -> float:
+    """:func:`value_at_risk` at a level that passed its rule."""
     n = dist.replicate_count
     if n == 0:
         raise ValueError("value_at_risk of an empty distribution")
@@ -132,6 +137,11 @@ def value_at_risk(dist: EmpiricalDistribution, level: float) -> float:
 def expected_shortfall(dist: EmpiricalDistribution, level: float) -> float:
     """Mean of the ceil((1 - level) * R) largest samples; >= VaR at the same level."""
     _require_run(quantile_levels=(level,))
+    return _expected_shortfall(dist, level)
+
+
+def _expected_shortfall(dist: EmpiricalDistribution, level: float) -> float:
+    """:func:`expected_shortfall` at a level that passed its rule."""
     n = dist.replicate_count
     if n == 0:
         raise ValueError("expected_shortfall of an empty distribution")
@@ -163,8 +173,9 @@ def build_risk_report(
 ) -> RiskReport:
     """Mean, standard deviation (R-1 denominator), range, VaR and ES per level.
 
-    A single-replicate distribution reports a standard deviation of 0 with a
-    warning rather than failing.
+    The levels are checked once, for the whole report.  A single-replicate
+    distribution reports a standard deviation of 0 with a warning rather
+    than failing.
     """
     _require_run(quantile_levels=levels)
     n = dist.replicate_count
@@ -181,8 +192,8 @@ def build_risk_report(
         std_dev=float(dist.samples.std(ddof=1)) if n > 1 else 0.0,
         minimum=float(dist.samples[0]),
         maximum=float(dist.samples[-1]),
-        value_at_risk={float(a): value_at_risk(dist, a) for a in levels},
-        expected_shortfall={float(a): expected_shortfall(dist, a) for a in levels},
+        value_at_risk={float(a): _value_at_risk(dist, a) for a in levels},
+        expected_shortfall={float(a): _expected_shortfall(dist, a) for a in levels},
         analytic_mean=None if analytic is None else analytic.mean,
         analytic_std=None if analytic is None else analytic.std,
     )
@@ -194,15 +205,17 @@ def block_replicates(params: ModelParams) -> int:
     return max(1, BLOCK_CELLS // (n_i * n_j * n_k))
 
 
-def _world(block: SimulationPath, b: int, severities=None) -> SimulationPath:
-    """World ``b`` of a block path, as frozen copies that do not hold the block."""
-    claims = block.claims
-    return SimulationPath(
-        params=block.params,
-        claims=ClaimTensor(claims.counts[b], claims.pay_counts[b]),
-        payments=PaymentTensor(block.payments.payments[b]),
-        severities=severities,
-    )
+def _world(block: SimulationPath, b: int, severity_state: dict | None = None) -> SimulationPath:
+    """World ``b`` of a block path, as frozen copies that do not hold the block.
+
+    With ``severity_state`` its retained amounts replay from that state over the copies.
+    """
+    claims = ClaimTensor(block.claims.counts[b], block.claims.pay_counts[b])
+    payments = PaymentTensor(block.payments.payments[b])
+    severities = None
+    if severity_state is not None:
+        severities = RetainedSeverities(block.params, claims.pay_counts, payments.payments, severity_state)
+    return SimulationPath(params=block.params, claims=claims, payments=payments, severities=severities)
 
 
 def replicate_path(
@@ -217,7 +230,7 @@ def replicate_path(
     path = simulate_path(
         RandomStream(master_seed, block), params, retain_severities=retain_severities, size=offset + 1
     )
-    return _world(path, offset, path.severities)
+    return _world(path, offset, path.severities.state if retain_severities else None)
 
 
 def _replicate_loop(

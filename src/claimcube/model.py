@@ -26,7 +26,11 @@ Each active claim pays in run-off year k with probability ``pay_prob[k]``
 on the occurrence year).  A cell's payment total is drawn as one Gamma
 variate (the sum of iid Gammas is Gamma), so a world costs time and memory
 in proportion to its cells, not its payments.  Individual amounts exist
-only on request, split from the cell totals by a conditional Dirichlet.
+only on request, split from the cell totals by a conditional Dirichlet: a
+retained world keeps the severity generator state taken when it was drawn,
+and each read of its amounts replays the split run by run from that state
+(:class:`RetainedSeverities`), so no array of a world grows with its
+payments.
 
 The kernel draws a *block* of worlds at once, as tensors with a leading
 world axis ``(n, I, J, K+1)``: one generator call per stage (Poisson,
@@ -42,6 +46,8 @@ caller validates a set first.
 from __future__ import annotations
 
 import math
+import weakref
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, fields
 from numbers import Real
 from typing import NamedTuple
@@ -55,6 +61,7 @@ __all__ = [
     "ClaimTensor",
     "ModelParams",
     "PaymentTensor",
+    "RetainedSeverities",
     "SimulationPath",
     "make_expected_counts",
     "simulate_counts",
@@ -343,13 +350,15 @@ class SimulationPath:
     present when the path was simulated with ``retain_severities=True``; it
     maps ``(j, k)`` to the individual payment amounts of that (lag, run-off)
     cell, pooled over occurrence years in ascending order (of the last world,
-    for a block).
+    for a block).  A simulated path's mapping is a read-only
+    :class:`RetainedSeverities`, which replays the amounts on each read; a
+    hand-built path may give any mapping of cells to arrays.
     """
 
     params: ModelParams
     claims: ClaimTensor
     payments: PaymentTensor
-    severities: dict[tuple[int, int], np.ndarray] | None = None
+    severities: Mapping[tuple[int, int], np.ndarray] | None = None
 
 
 def _is_block(path: SimulationPath) -> bool:
@@ -410,8 +419,14 @@ def simulate_payments(stream: RandomStream, params: ModelParams, counts: ClaimTe
     return _frozen(pay_counts), _shared(PaymentTensor, payments=_frozen(payments))
 
 
-def _split_totals(gen, params, pay_counts, payments):
-    """Individual payments per (lag, run-off) pool, occurrence-ascending.
+def _split_totals(state, params, pay_counts, payments):
+    """Replay the individual payments of one world, pool by pool.
+
+    Yields ``((j, k), amounts)`` for each non-empty (lag, run-off) pool in
+    ascending (j, k) order, the amounts pooled over occurrence years in
+    ascending order.  The draws start from ``state``, a severity generator
+    state from :meth:`RandomStream.severity_state`, so every call yields the
+    same amounts bit for bit.
 
     A stochastic cell with total S and ``nu`` payments is split as
     S * Dirichlet(shape, ..., shape): ``nu`` standard Gamma(shape) draws
@@ -423,34 +438,51 @@ def _split_totals(gen, params, pay_counts, payments):
     uniformly, the shape -> 0 limit of the Dirichlet.  Zero-variance pools
     pay the mean per payment.
 
-    The retained amounts cost 8 bytes per payment.  They are drawn and
-    normalised in runs of consecutive pools, each run in its own array of at
-    most max(largest pool, I * J * (K+1)) payments, so the working arrays of
-    the normalisation are bounded by one run rather than by the world.  Each
-    pool's amounts are a view of its run's array.  A run takes the picks of
+    The amounts are drawn and normalised in runs of consecutive pools of at
+    most max(largest pool, I * J * (K+1)) payments, and a run's pools are
+    yielded, as read-only views of the run, before the next run is drawn, so
+    a reader holds one run rather than the world.  A run takes the picks of
     its own underflowed cells in one ``integers`` call after its pools.
+
+    Runs alternate between two buffers.  A buffer is drawn into again only
+    once nothing aliases the run last drawn into it: numpy bases every view
+    of a pool, or of such a view, on the run array, so a weak reference to
+    the run tells.  While an alias lives, the next run takes a new buffer,
+    so amounts a reader keeps never change.
     """
+    gen = np.random.Generator(np.random.PCG64())
+    gen.bit_generator.state = state
     n_i, _, n_k = pay_counts.shape
     nu = pay_counts.transpose(1, 2, 0).ravel()  # cells by pool (j, k), then occurrence year i
     totals = payments.transpose(1, 2, 0).ravel()
     sizes = nu.reshape(-1, n_i).sum(axis=1)
     ends = np.cumsum(sizes)
+    pool_starts, pool_ends = (ends - sizes).tolist(), ends.tolist()  # Python ints slice faster than numpy scalars
     kernel = params._kernel
     stochastic = kernel.stochastic.ravel()
     split_cells = np.repeat(stochastic, n_i)
     cap = max(int(sizes.max()), nu.size)
-    severities: dict[tuple[int, int], np.ndarray] = {}
-    first = offset = 0  # the run's first pool and first payment
+    buffers = [(None, None)] * 2  # per slot: a buffer and a weak reference to the run last drawn into it
+    runs = first = offset = 0  # runs drawn so far, the run's first pool and first payment
     while offset < ends[-1]:
         stop = int(np.searchsorted(ends, offset + cap, side="right"))
-        run = np.empty(int(ends[stop - 1]) - offset)
-        for p in np.flatnonzero(sizes[first:stop]) + first:
-            pool = run[ends[p] - sizes[p] - offset : ends[p] - offset]
+        buffer, last = buffers[runs % 2]
+        if buffer is None or last() is not None:
+            buffer = np.empty(cap)
+        # Through a memoryview, not the buffer array: numpy bases a view on the
+        # first array up its chain that owns its data or whose base is no
+        # array, so every view of the run, or of a view of it, holds the run.
+        run = np.frombuffer(memoryview(buffer), count=int(ends[stop - 1]) - offset)
+        buffers[runs % 2] = buffer, weakref.ref(run)
+        pools = [
+            (p, slice(pool_starts[p] - offset, pool_ends[p] - offset))
+            for p in (np.flatnonzero(sizes[first:stop]) + first).tolist()
+        ]
+        for p, span in pools:
             if stochastic[p]:
-                gen.standard_gamma(kernel.shape[p], out=pool)
+                gen.standard_gamma(kernel.shape[p], out=run[span])
             else:
-                pool.fill(kernel.fixed_mean.flat[p])
-            severities[divmod(int(p), n_k)] = pool
+                run[span].fill(kernel.fixed_mean.flat[p])
 
         cells = slice(first * n_i, stop * n_i)
         lengths = nu[cells]
@@ -466,8 +498,69 @@ def _split_totals(gen, params, pay_counts, payments):
         run *= np.repeat(np.where(split, run_totals, 1.0), lengths)
         under = split & (sums == 0) & (run_totals > 0)
         run[starts[under] + gen.integers(lengths[under])] = run_totals[under]
-        first, offset = stop, int(ends[stop - 1])
-    return severities
+        run.flags.writeable = False
+        for p, span in pools:
+            yield divmod(p, n_k), run[span]
+        runs, first, offset = runs + 1, stop, int(ends[stop - 1])
+
+
+class RetainedSeverities(Mapping):
+    """The individual payment amounts of one world, replayed on each read.
+
+    Maps ``(j, k)`` to the amounts of that (lag, run-off) pool, pooled over
+    occurrence years in ascending order, for every pool with a payment.  It
+    holds the world's payment counts and cell totals and ``state``, the
+    severity generator state taken when the world was drawn, but no amount:
+    each read replays the split of :func:`_split_totals` from that state, so
+    every read returns the same amounts bit for bit and holds two run buffers
+    rather than the world.  ``items()`` and ``values()`` replay the world
+    once, a lookup up to its pool.  Reads share no mutable state, so several
+    threads may read one mapping at once.
+    """
+
+    def __init__(self, params: ModelParams, pay_counts: np.ndarray, payments: np.ndarray, state: dict):
+        self._params, self._pay_counts, self._payments = params, pay_counts, payments
+        self.state = state
+
+    def _replay(self):
+        return _split_totals(self.state, self._params, self._pay_counts, self._payments)
+
+    def _cells(self) -> dict:
+        """The keys: the pools with a payment, in ascending (j, k) order."""
+        lags, runoffs = np.nonzero(self._pay_counts.sum(axis=0))
+        return dict.fromkeys(zip(lags.tolist(), runoffs.tolist()))
+
+    def __getitem__(self, cell):
+        if cell in self._cells():
+            for key, amounts in self._replay():
+                if key == cell:
+                    return amounts
+        raise KeyError(cell)
+
+    def __contains__(self, cell) -> bool:
+        return cell in self._cells()
+
+    def __iter__(self):
+        return iter(self._cells())
+
+    def __len__(self) -> int:
+        return len(self._cells())
+
+    def items(self):
+        return _ReplayedItems(self)
+
+    def values(self):
+        return _ReplayedValues(self)
+
+
+class _ReplayedItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._replay()
+
+
+class _ReplayedValues(ValuesView):
+    def __iter__(self):
+        return (amounts for _, amounts in self._mapping._replay())
 
 
 def simulate_path(
@@ -480,19 +573,21 @@ def simulate_path(
     """Simulate one complete world, or the first ``size`` worlds of the stream's block.
 
     Deterministic given (master_seed, stream_id); a single world is the
-    block's first.  With ``retain_severities`` the individual amounts of the
-    (last) world are drawn after the payments, from
-    :attr:`RandomStream.severity_generator`, conditional on the cell totals
-    (see :func:`_split_totals`), so the draws of the plain path and hence
-    every cell total are the same whether or not they are retained.
+    block's first.  With ``retain_severities`` the path's ``severities``
+    replay the individual amounts of the (last) world, conditional on its
+    cell totals (see :func:`_split_totals`), from
+    :meth:`RandomStream.severity_state`, which no stage generator shares, so
+    the draws of the plain path and hence every cell total are the same
+    whether or not they are retained.  Retaining draws no amount here: the
+    split runs on each read of ``severities``.
     """
     count_tensor = simulate_counts(stream, params, size)
     pay_counts, payment_tensor = simulate_payments(stream, params, count_tensor)
     severities = None
     if retain_severities:
         world = () if size is None else (-1,)
-        severities = _split_totals(
-            stream.severity_generator, params, pay_counts[world], payment_tensor.payments[world]
+        severities = RetainedSeverities(
+            params, pay_counts[world], payment_tensor.payments[world], stream.severity_state()
         )
     claims = _shared(ClaimTensor, counts=count_tensor.counts, pay_counts=pay_counts)
     return SimulationPath(

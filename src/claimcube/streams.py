@@ -15,10 +15,10 @@ Because every stage has its own generator and numpy consumes a vectorised
 call element by element in C order, the first ``n`` worlds of a block are
 the same whether the block is drawn with ``n`` worlds or more.
 
-Retained individual payment amounts come from
-:attr:`RandomStream.severity_generator`, a further generator of the same pair
-(spawn key ``SEVERITY``) built only when it is first used, so retaining them
-never changes a stage's draws.  Severities are parameterized by (mean,
+Retained individual payment amounts replay from
+:meth:`RandomStream.severity_state`, the state of a further generator of the
+same pair (spawn key ``SEVERITY``), so retaining them never changes a
+stage's draws.  Severities are parameterized by (mean,
 variance); :func:`gamma_shape_scale` converts them to the Gamma shape and
 scale.  A zero variance is a point mass at the mean, which the simulator
 handles without a draw.
@@ -50,15 +50,16 @@ MAX_SEED = 2**64 - 1
 class RandomStream:
     """One substream of a master-seeded random source: a generator per stage.
 
-    A stream is single-consumer: draws advance its generators' states.
-    Distinct streams may be consumed concurrently from different workers;
-    they share no mutable state.
+    A stream is single-consumer: draws advance its generators' states, and
+    each retained world advances its severity state.  Distinct streams may be
+    consumed concurrently from different workers; they share no mutable
+    state.
     """
 
     master_seed: int
     stream_id: int = 0
     _gens: tuple = field(init=False, repr=False)
-    _severity_gen: np.random.Generator | None = field(init=False, repr=False, default=None)
+    _retained_worlds: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
@@ -74,15 +75,19 @@ class RandomStream:
         """The three stage generators (PCG64), indexed by ``POISSON``, ``BINOMIAL``, ``GAMMA``."""
         return self._gens
 
-    @property
-    def severity_generator(self) -> np.random.Generator:
-        """The generator of retained individual amounts (spawn key ``SEVERITY``).
+    def severity_state(self) -> dict:
+        """The PCG64 state from which one retained world's individual amounts replay.
 
-        Its draws are independent of the stage generators and never advance them.
+        The generator of spawn key ``SEVERITY``, independent of the stage
+        generators, jumped once (:meth:`numpy.random.PCG64.jumped`) per
+        retained world the stream gave before: the first world starts at the
+        spawned state, and each call moves the stream's severity generator
+        past the state it returns, so two retained worlds of one stream never
+        share draws.
         """
-        if self._severity_gen is None:
-            self._severity_gen = self._spawn(SEVERITY)
-        return self._severity_gen
+        state = self._spawn(SEVERITY).bit_generator.jumped(self._retained_worlds).state
+        self._retained_worlds += 1
+        return state
 
 
 def gamma_shape_scale(mean, variance):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +148,28 @@ def test_severity_from_hand_payments():
     assert mean[0, 0] == 5.0
     assert var[0, 0] == 2.0
     assert math.isnan(mean[1, 0])
+
+
+def test_an_empty_pool_is_absent_without_a_warning():
+    params = flat_params()
+    path = hand_path(
+        params,
+        np.ones(params.dims, dtype=np.int64),
+        severities={(0, 0): np.empty(0), (1, 0): np.array([3.0])},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, var = estimate_severity(path)
+    assert np.isnan(mean[0, 0]) and np.isnan(var[0, 0])
+    assert mean[1, 0] == 3.0 and np.isnan(var[1, 0])
+
+
+@pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0), (0,), "ab", (0.5, 0)])
+def test_a_key_outside_the_cells_is_a_parameter_error_naming_it(key):
+    params = flat_params()  # J = 2, K + 1 = 2
+    path = hand_path(params, np.ones(params.dims, dtype=np.int64), severities={key: np.array([1.0, 2.0])})
+    with pytest.raises(ParameterError, match=re.escape(f"severities: key {key!r} is outside")):
+        estimate_severity(path)
 
 
 def test_degenerate_severities_estimated_exactly(make_params):

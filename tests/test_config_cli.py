@@ -693,10 +693,11 @@ def test_largest_master_seed_simulates(tmp_path):
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
-    def allocate(*args):
+    def replay(*args):  # the replay generator of retained amounts, which calibrate reads
         raise MemoryError("Unable to allocate 3.33 PiB for an array with shape (468750000000000,)")
+        yield
 
-    monkeypatch.setattr("claimcube.model._split_totals", allocate)
+    monkeypatch.setattr("claimcube.model._split_totals", replay)
     out = tmp_path / "never"
     assert main(["calibrate", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()

@@ -117,6 +117,18 @@ def test_single_sample_std_is_zero_with_warning():
     assert stats.std_dev == 0.0
 
 
+def test_a_risk_report_checks_its_levels_once(monkeypatch):
+    calls = []
+    run_errors = claimcube.engine.run_errors
+    monkeypatch.setattr(claimcube.engine, "run_errors", lambda **kw: calls.append(kw) or run_errors(**kw))
+    levels = (0.5, 0.75, 0.9, 0.95)
+    d = dist([4.0, 1.0, 3.0, 2.0])
+    report = build_risk_report(d, levels)
+    assert calls == [{"quantile_levels": levels}]
+    assert report.value_at_risk == {a: value_at_risk(d, a) for a in levels}
+    assert report.expected_shortfall == {a: expected_shortfall(d, a) for a in levels}
+
+
 def test_samples_are_sorted_on_construction():
     d = dist([3.0, 1.0, 2.0])
     assert np.array_equal(d.samples, [1.0, 2.0, 3.0])

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -13,6 +15,7 @@ from claimcube import (
     PaymentTensor,
     RandomStream,
     default_params,
+    estimate_severity,
     make_expected_counts,
     simulate_counts,
     simulate_path,
@@ -592,23 +595,99 @@ def test_runs_that_start_and_end_inside_the_pools_reconcile_cell_by_cell(make_pa
     assert lumped_pools == {(0, 2), (1, 0)}
 
 
-def test_retained_world_memory_is_its_amounts_plus_one_run():
-    # The retained amounts take 8 B per payment.  Everything else the draw
-    # holds at once (the plain world, the normalisation of one run) is bounded
-    # by max(largest pool, cells), not by the number of payments.
+def test_a_retained_world_is_drawn_and_read_in_one_run_of_memory():
+    # A retained world holds no amount: reading them replays the split run by
+    # run into two alternating buffers, so drawing the world and reading every
+    # amount peak at a few run-sized arrays (about 86 B per payment of a run,
+    # the world's tensors included), with no term per payment of the world.
     base = default_params()
     params = validate_params(dataclasses.replace(base, expected_counts=60 * base.expected_counts))
-    simulate_path(RandomStream(2025, 1), base, retain_severities=True)  # first-call set-up, untraced
+    estimate_severity(simulate_path(RandomStream(2025, 1), base, retain_severities=True))  # first-call set-up
     tracemalloc.start()
     try:
         path = simulate_path(RandomStream(2025, 0), params, retain_severities=True)
+        estimate_severity(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     nu = path.claims.pay_counts
     payments, run = int(nu.sum()), max(int(nu.sum(axis=0).max()), nu.size)
-    assert payments > 500_000
-    assert peak < 8 * payments + 192 * run, f"peak {peak} B for {payments} payments, runs of {run}"
+    assert payments > 500_000 and payments > 40 * run
+    assert peak < 192 * run, f"peak {peak} B for {payments} payments, runs of {run}"
+
+
+def multi_run_path(make_params):
+    """A retained world whose split takes more than two runs of max(largest pool, cells)."""
+    params = make_params(occurrence_years=4, expected_counts=150.0, pay_prob=0.9)
+    path = simulate_path(RandomStream(19, 0), params, retain_severities=True)
+    nu = path.claims.pay_counts
+    assert nu.sum() > 2 * max(nu.sum(axis=0).max(), nu.size)
+    return path
+
+
+def as_bytes(pairs):
+    return {cell: amounts.tobytes() for cell, amounts in pairs}
+
+
+def test_every_read_replays_the_same_read_only_amounts(make_params):
+    severities = multi_run_path(make_params).severities
+    first = as_bytes(severities.items())
+    assert list(first) == list(severities) and len(first) == len(severities)
+    assert as_bytes(severities.items()) == first
+    assert [amounts.tobytes() for amounts in severities.values()] == list(first.values())
+    for cell, amounts in severities.items():
+        assert not amounts.flags.writeable
+        assert cell in severities and severities[cell].tobytes() == first[cell]
+    assert (9, 9) not in severities and severities.get((9, 9)) is None
+
+
+def test_amounts_kept_from_one_pass_equal_a_fresh_replay(make_params):
+    severities = multi_run_path(make_params).severities
+    kept = dict(severities.items())
+    # A view of a view aliases its run just as the pool does.
+    tails = {cell: amounts[1:] for cell, amounts in severities.items()}
+    fresh = as_bytes(severities.items())
+    assert as_bytes(kept.items()) == fresh
+    assert {cell: tail.tobytes() for cell, tail in tails.items()} == {
+        cell: amounts[1:].tobytes() for cell, amounts in severities.items()
+    }
+
+
+def test_threads_reading_one_path_at_once_get_the_same_amounts():
+    # More threads than cores, switching every microsecond: a buffer or
+    # generator shared between reads would mix their amounts.
+    base = default_params()
+    params = validate_params(dataclasses.replace(base, expected_counts=20 * base.expected_counts))
+    severities = simulate_path(RandomStream(20, 0), params, retain_severities=True).severities
+    serial = as_bytes(severities.items())
+    barrier = threading.Barrier(4, timeout=60)
+    reads = []
+
+    def read():
+        barrier.wait()
+        reads.append(as_bytes(severities.items()))
+
+    threads = [threading.Thread(target=read, daemon=True) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reads == [serial] * 4
+
+
+def test_retained_worlds_of_one_stream_start_from_distinct_severity_states(make_params):
+    params = make_params(occurrence_years=3, expected_counts=40.0)
+    stream = RandomStream(21, 0)
+    first = simulate_path(stream, params, retain_severities=True).severities.state
+    second = simulate_path(stream, params, retain_severities=True).severities.state
+    assert first == RandomStream(21, 0).severity_state()  # a stream's first world starts at the spawned state
+    assert second != first and stream.severity_state() not in (first, second)
 
 
 def test_plain_draw_memory_per_cell_is_bounded():
