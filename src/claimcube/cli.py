@@ -180,7 +180,7 @@ def _summary_lines(fh) -> list[str]:
 
 
 def _comparison_lines(fh) -> list[str]:
-    lines = ["", "2D vs 3D comparison"]
+    lines = ["2D vs 3D comparison"]
     for row in csv.DictReader(fh):
         lines.append(
             f"  {row['estimator']} (target {row['target']}): "
@@ -201,14 +201,11 @@ def _render(path: Path, render) -> list[str]:
 
 def _cmd_report(args) -> int:
     out = Path(args.out)
-    summary_path = out / "summary.json"
-    if not summary_path.exists():
-        raise ParameterError(f"no summary.json in {out}; run `claimcube simulate` first")
-    lines = _render(summary_path, _summary_lines)
-    comparison_path = out / "comparison_summary.csv"
-    if comparison_path.exists():
-        lines += _render(comparison_path, _comparison_lines)
-    print("\n".join(lines))
+    renders = (("summary.json", _summary_lines), ("comparison_summary.csv", _comparison_lines))
+    outputs = [(out / name, render) for name, render in renders if (out / name).exists()]
+    if not outputs:
+        raise ParameterError(f"no summary.json or comparison_summary.csv in {out}; run `claimcube simulate` first")
+    print("\n\n".join("\n".join(_render(path, render)) for path, render in outputs))
     return 0
 
 

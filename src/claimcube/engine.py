@@ -30,7 +30,7 @@ import numpy as np
 
 from .aggregate import MomentPair, _world_statistics
 from .errors import ParameterError, _require_integer, integer_error
-from .model import ClaimTensor, ModelParams, PaymentTensor, RetainedSeverities, SimulationPath, simulate_path
+from .model import ClaimTensor, ModelParams, PaymentTensor, SimulationPath, simulate_path
 from .streams import MAX_SEED, RandomStream
 
 __all__ = [
@@ -205,17 +205,14 @@ def block_replicates(params: ModelParams) -> int:
     return max(1, BLOCK_CELLS // (n_i * n_j * n_k))
 
 
-def _world(block: SimulationPath, b: int, severity_state: dict | None = None) -> SimulationPath:
+def _world(block: SimulationPath, b: int) -> SimulationPath:
     """World ``b`` of a block path, as frozen copies that do not hold the block.
 
-    With ``severity_state`` its retained amounts replay from that state over the copies.
+    The block's ``severities``, those of its last world, pass through as they are.
     """
     claims = ClaimTensor(block.claims.counts[b], block.claims.pay_counts[b])
     payments = PaymentTensor(block.payments.payments[b])
-    severities = None
-    if severity_state is not None:
-        severities = RetainedSeverities(block.params, claims.pay_counts, payments.payments, severity_state)
-    return SimulationPath(params=block.params, claims=claims, payments=payments, severities=severities)
+    return SimulationPath(params=block.params, claims=claims, payments=payments, severities=block.severities)
 
 
 def replicate_path(
@@ -223,14 +220,15 @@ def replicate_path(
 ) -> SimulationPath:
     """The world of replicate ``replicate``: world ``r % B`` of block ``r // B``.
 
-    Draws only the first ``r % B + 1`` worlds of the block.
+    Draws only the first ``r % B + 1`` worlds of the block, ``r`` in 0 .. B * 2**64 - 1.
     """
-    _require_integer("replicate", replicate, 0)
-    block, offset = divmod(replicate, block_replicates(params))
+    size = block_replicates(params)
+    _require_integer("replicate", replicate, 0, size * (MAX_SEED + 1) - 1)
+    block, offset = divmod(replicate, size)
     path = simulate_path(
         RandomStream(master_seed, block), params, retain_severities=retain_severities, size=offset + 1
     )
-    return _world(path, offset, path.severities.state if retain_severities else None)
+    return _world(path, offset)
 
 
 def _replicate_loop(

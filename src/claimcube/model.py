@@ -27,10 +27,10 @@ on the occurrence year).  A cell's payment total is drawn as one Gamma
 variate (the sum of iid Gammas is Gamma), so a world costs time and memory
 in proportion to its cells, not its payments.  Individual amounts exist
 only on request, split from the cell totals by a conditional Dirichlet: a
-retained world keeps the severity generator state taken when it was drawn,
-and each read of its amounts replays the split run by run from that state
-(:class:`RetainedSeverities`), so no array of a world grows with its
-payments.
+retained world keeps copies of its payment counts and cell totals and its own
+severity generator state, and each read of its amounts replays the split run
+by run from that state (:class:`RetainedSeverities`), so no array of a world
+grows with its payments.
 
 The kernel draws a *block* of worlds at once, as tensors with a leading
 world axis ``(n, I, J, K+1)``: one generator call per stage (Poisson,
@@ -49,6 +49,7 @@ import math
 import weakref
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, fields
+from functools import cached_property
 from numbers import Real
 from typing import NamedTuple
 
@@ -509,42 +510,44 @@ class RetainedSeverities(Mapping):
 
     Maps ``(j, k)`` to the amounts of that (lag, run-off) pool, pooled over
     occurrence years in ascending order, for every pool with a payment.  It
-    holds the world's payment counts and cell totals and ``state``, the
-    severity generator state taken when the world was drawn, but no amount:
-    each read replays the split of :func:`_split_totals` from that state, so
-    every read returns the same amounts bit for bit and holds two run buffers
-    rather than the world.  ``items()`` and ``values()`` replay the world
-    once, a lookup up to its pool.  Reads share no mutable state, so several
-    threads may read one mapping at once.
+    holds frozen copies of the world's payment counts and cell totals and
+    ``state``, the world's severity generator state, but no amount: each read
+    replays the split of :func:`_split_totals` from that state, so every read
+    returns the same amounts bit for bit and holds two run buffers rather
+    than the world.  ``items()`` and ``values()`` replay the world once, a
+    lookup up to its pool.  Reads share no mutable state, so several threads
+    may read one mapping at once.
     """
 
     def __init__(self, params: ModelParams, pay_counts: np.ndarray, payments: np.ndarray, state: dict):
-        self._params, self._pay_counts, self._payments = params, pay_counts, payments
-        self.state = state
+        self._params, self.state = params, state
+        self._pay_counts = _frozen(np.array(pay_counts, dtype=np.int64))
+        self._payments = _frozen(np.array(payments, dtype=float))
 
     def _replay(self):
         return _split_totals(self.state, self._params, self._pay_counts, self._payments)
 
-    def _cells(self) -> dict:
-        """The keys: the pools with a payment, in ascending (j, k) order."""
+    @cached_property
+    def _keys(self) -> dict:
+        """The pools with a payment, in ascending (j, k) order."""
         lags, runoffs = np.nonzero(self._pay_counts.sum(axis=0))
         return dict.fromkeys(zip(lags.tolist(), runoffs.tolist()))
 
     def __getitem__(self, cell):
-        if cell in self._cells():
+        if cell in self._keys:
             for key, amounts in self._replay():
                 if key == cell:
                     return amounts
         raise KeyError(cell)
 
     def __contains__(self, cell) -> bool:
-        return cell in self._cells()
+        return cell in self._keys
 
     def __iter__(self):
-        return iter(self._cells())
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._cells())
+        return len(self._keys)
 
     def items(self):
         return _ReplayedItems(self)
@@ -575,8 +578,8 @@ def simulate_path(
     Deterministic given (master_seed, stream_id); a single world is the
     block's first.  With ``retain_severities`` the path's ``severities``
     replay the individual amounts of the (last) world, conditional on its
-    cell totals (see :func:`_split_totals`), from
-    :meth:`RandomStream.severity_state`, which no stage generator shares, so
+    cell totals (see :func:`_split_totals`), from that world's own state,
+    ``stream.severity_state(size or 1)``, which no stage generator shares, so
     the draws of the plain path and hence every cell total are the same
     whether or not they are retained.  Retaining draws no amount here: the
     split runs on each read of ``severities``.
@@ -587,7 +590,7 @@ def simulate_path(
     if retain_severities:
         world = () if size is None else (-1,)
         severities = RetainedSeverities(
-            params, pay_counts[world], payment_tensor.payments[world], stream.severity_state()
+            params, pay_counts[world], payment_tensor.payments[world], stream.severity_state(size or 1)
         )
     claims = _shared(ClaimTensor, counts=count_tensor.counts, pay_counts=pay_counts)
     return SimulationPath(

@@ -75,18 +75,17 @@ class RandomStream:
         """The three stage generators (PCG64), indexed by ``POISSON``, ``BINOMIAL``, ``GAMMA``."""
         return self._gens
 
-    def severity_state(self) -> dict:
-        """The PCG64 state from which one retained world's individual amounts replay.
+    def severity_state(self, worlds: int = 1) -> dict:
+        """The PCG64 state from which the last of ``worlds`` retained worlds replays its amounts.
 
         The generator of spawn key ``SEVERITY``, independent of the stage
-        generators, jumped once (:meth:`numpy.random.PCG64.jumped`) per
-        retained world the stream gave before: the first world starts at the
-        spawned state, and each call moves the stream's severity generator
-        past the state it returns, so two retained worlds of one stream never
-        share draws.
+        generators, jumped (:meth:`numpy.random.PCG64.jumped`) once per world
+        the stream retained before: world ``b`` of a stream's first block
+        replays from jump ``b``, and no two worlds of one stream share draws.
         """
-        state = self._spawn(SEVERITY).bit_generator.jumped(self._retained_worlds).state
-        self._retained_worlds += 1
+        _require_integer("worlds", worlds, 1)
+        state = self._spawn(SEVERITY).bit_generator.jumped(self._retained_worlds + worlds - 1).state
+        self._retained_worlds += worlds
         return state
 
 

@@ -240,14 +240,20 @@ INTEGER_INPUTS = {
     ),
     "stream_id": ((0, 2**64 - 1), [lambda p, v: RandomStream(1, v)]),
     "workers": ((1, None), [lambda p, v: run_monte_carlo(p, 3, 1, workers=v)]),
-    "replicate": ((0, None), [lambda p, v: replicate_path(p, 1, v)]),
+    "replicate": ((0, 3 * 2**64 - 1), [lambda p, v: replicate_path(p, 1, v)]),  # 2**64 blocks of B = 3 worlds
     "size": (
         (1, None),
         [lambda p, v: simulate_counts(RandomStream(1), p, v), lambda p, v: simulate_path(RandomStream(1), p, size=v)],
     ),
 }
 
-BOUNDS_TEXT = {(1, None): ">= 1", (0, None): ">= 0", (1, MAX_WORLD_CELLS): f"in 1 .. {MAX_WORLD_CELLS}", (0, 2**64 - 1): "in 0 .. 2**64 - 1"}
+BOUNDS_TEXT = {
+    (1, None): ">= 1",
+    (0, None): ">= 0",
+    (1, MAX_WORLD_CELLS): f"in 1 .. {MAX_WORLD_CELLS}",
+    (0, 2**64 - 1): "in 0 .. 2**64 - 1",
+    (0, 3 * 2**64 - 1): f"in 0 .. {3 * 2**64 - 1}",
+}
 
 
 @pytest.mark.parametrize(
@@ -538,6 +544,16 @@ def test_report_renders_prior_outputs(tmp_path):
     assert "total_reserve" in r.stdout
     assert "VaR" in r.stdout
     assert "chain_ladder_occurrence" in r.stdout
+
+
+def test_report_renders_a_comparison_alone(tmp_path):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--config", str(cfg), "--out", str(out)).returncode == 0
+    r = run_cli("report", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("2D vs 3D comparison\n")
+    assert "chain_ladder_occurrence" in r.stdout and "VaR" not in r.stdout
 
 
 def test_report_without_outputs_fails_cleanly(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -351,9 +352,29 @@ def test_worlds_handed_out_of_a_block_own_frozen_arrays():
     params = default_params()
     r = block_replicates(params) + 2  # the third world of block 1
     run = run_monte_carlo(params, r + 1, 8)
-    for world in (replicate_path(params, 8, r), replicate_path(params, 8, r, retain_severities=True), run.first_world):
+    retained = replicate_path(params, 8, r, retain_severities=True)
+    for world in (replicate_path(params, 8, r), retained, run.first_world):
         for arr in world_arrays(world):
             assert arr.flags.owndata and not arr.flags.writeable
+    # The retained amounts replay over copies of the world's own arrays, not views of its block.
+    for arr, own in zip((retained.severities._pay_counts, retained.severities._payments), world_arrays(retained)[1:]):
+        assert arr.flags.owndata and not arr.flags.writeable and arr.tobytes() == own.tobytes()
+
+
+def test_retained_replicates_replay_from_distinct_severity_states():
+    params = default_params()
+    size = block_replicates(params)
+    states = [replicate_path(params, 8, r, retain_severities=True).severities.state for r in range(2 * size)]
+    assert all(a != b for n, a in enumerate(states) for b in states[:n])
+    assert states[0] == RandomStream(8, 0).severity_state()  # replicate 0 replays as it always did
+
+
+def test_replicate_is_checked_against_the_last_block_of_the_seed():
+    params = default_params()
+    last = block_replicates(params) * 2**64 - 1
+    assert replicate_path(params, 8, last).claims.counts.shape == params.dims
+    with pytest.raises(ParameterError, match=re.escape(f"replicate must be an integer in 0 .. {last}, got {last + 1}")):
+        replicate_path(params, 8, last + 1)
 
 
 def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):

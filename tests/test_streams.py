@@ -33,6 +33,15 @@ def test_stream_rejects_out_of_range_ids():
         RandomStream(0, 2**64)
 
 
+def test_severity_state_of_a_draw_is_that_of_its_last_world():
+    one_by_one = RandomStream(5, 1)
+    states = [one_by_one.severity_state() for _ in range(5)]
+    stream = RandomStream(5, 1)
+    assert [stream.severity_state(3), stream.severity_state(2)] == [states[2], states[4]]
+    with pytest.raises(ParameterError, match="worlds must be an integer >= 1, got 0"):
+        stream.severity_state(0)
+
+
 def test_poisson_moments_match_law_of_large_numbers():
     # oracle: sample mean of n draws lies within 3*sqrt(mean/n) of the mean,
     # sample variance within 5*sqrt(2*mean^2/n) (Poisson variance = mean)
