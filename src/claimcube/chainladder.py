@@ -40,7 +40,7 @@ from .aggregate import (
     triangle_occurrence,
     triangle_reporting,
 )
-from .engine import _replicate_loop
+from .engine import _replicate_loop, _root_mean_square
 from .errors import EstimationError, ParameterError
 from .model import ModelParams
 
@@ -201,15 +201,6 @@ def _score_block(_, block) -> list[tuple[dict, dict]]:
     ]
 
 
-def _rmse(errors: np.ndarray) -> float:
-    """Root mean square of ``errors``, taken over them scaled by the largest where the squares overflow."""
-    with np.errstate(over="ignore"):
-        rmse = float(np.sqrt(np.mean(errors**2)))
-    if math.isinf(rmse) and math.isfinite(largest := float(np.abs(errors).max())):
-        rmse = largest * float(np.sqrt(np.mean((errors / largest) ** 2)))
-    return rmse
-
-
 def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Comparison:
     """Score the 2D Chain-Ladder estimators and the analytic 3D mean
     against the simulated truth of every replicate.
@@ -239,6 +230,6 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Com
             replicates_ok=int(errors.size),
             replicates_failed=len(own) - int(errors.size),
             bias=float(errors.mean()) if errors.size else math.nan,
-            rmse=_rmse(errors) if errors.size else math.nan,
+            rmse=_root_mean_square(errors) if errors.size else math.nan,
         )
     return Comparison(records=records, summary=summary)

@@ -150,6 +150,17 @@ def _expected_shortfall(dist: EmpiricalDistribution, level: float) -> float:
     return float(dist.samples[n - tail :].mean())
 
 
+def _root_mean_square(values: np.ndarray, ddof: int = 0) -> float:
+    """``sqrt(sum(values**2) / (n - ddof))``, taken over ``values`` scaled by
+    the largest where the squares overflow although every value is finite."""
+    count = values.size - ddof
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.sum(values**2) / count))
+    if math.isinf(rms) and math.isfinite(largest := float(np.abs(values).max())):
+        rms = largest * float(np.sqrt(np.sum((values / largest) ** 2) / count))
+    return rms
+
+
 @dataclass(frozen=True)
 class RiskReport:
     """Distribution summary plus tail risk measures for one statistic."""
@@ -185,11 +196,12 @@ def build_risk_report(
         warnings.warn(
             "standard deviation of a single replicate reported as 0", UserWarning, stacklevel=2
         )
+    mean = dist.samples.mean()
     return RiskReport(
         statistic_name=dist.statistic_name,
         replicate_count=n,
-        mean=float(dist.samples.mean()),
-        std_dev=float(dist.samples.std(ddof=1)) if n > 1 else 0.0,
+        mean=float(mean),
+        std_dev=_root_mean_square(dist.samples - mean, ddof=1) if n > 1 else 0.0,
         minimum=float(dist.samples[0]),
         maximum=float(dist.samples[-1]),
         value_at_risk={float(a): _value_at_risk(dist, a) for a in levels},

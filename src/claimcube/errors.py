@@ -2,6 +2,8 @@
 
 from numbers import Integral
 
+__all__ = ["EstimationError", "ParameterError"]
+
 
 class ParameterError(ValueError):
     """Raised when a distribution, model or configuration parameter is invalid.

@@ -257,7 +257,7 @@ def validate_params(params: ModelParams) -> ModelParams:
     :class:`ParameterError` whose ``args`` are the broken rules, each with
     index and value: per field its shape, finiteness and range, then the rules
     across cells (total claims, the lag sum, survival's start and order) and
-    the severity overflows.
+    the severity overflows, of one cell and then of the reserve variance.
 
     The range rules are the last check of the :class:`ModelParams`
     constructor, which calls this function, so it returns every built set
@@ -277,14 +277,15 @@ def validate_params(params: ModelParams) -> ModelParams:
                 errs.append(f"{name}[{','.join(map(str, cell))}] = {arr[cell]} {wrong}")
             ok.add(name)
 
+    claims = math.inf  # the mean total claims, once the counts pass their rules
     if "expected_counts" in ok:
         # Every claim count, and every sum of counts, is at most the world's
         # total claims.  Bounding their mean at 2**62 keeps them far below
         # int64's 2**63 and numpy's Poisson limit (about 9.2e18).
         with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected here
-            total = float(params.expected_counts.sum())
-        if total > 2**62:
-            errs.append(f"expected_counts sum to {total!r} claims, more than 2**62")
+            claims = float(params.expected_counts.sum())
+        if claims > 2**62:
+            errs.append(f"expected_counts sum to {claims!r} claims, more than 2**62")
     if "lag_probs" in ok:
         total = float(params.lag_probs.sum())
         if abs(total - 1.0) > PROB_TOL:
@@ -309,6 +310,18 @@ def validate_params(params: ModelParams) -> ModelParams:
                 f"severity_mean[{j},{k}] = {mean[j, k]} with severity_var {var[j, k]} overflows "
                 "var + mean**2 or the Gamma shape mean**2 / var or scale var / mean"
             )
+        if not overflows.any() and claims <= 2**62:
+            # One claim's E[Y(t)**2] is at most (K+1)**2 * max(var + mean**2),
+            # a reserve's variance sums at most max(1, total claims) of them, and
+            # the factor 2 leaves headroom for the partial sums.
+            second = var + mean * mean
+            j, k = np.unravel_index(np.argmax(second), second.shape)
+            if not math.isfinite(2.0 * max(1.0, claims) * params.dims[2] ** 2 * float(second[j, k])):
+                errs.append(
+                    f"severity_mean[{j},{k}] = {mean[j, k]} with severity_var {var[j, k]} overflows "
+                    "the reserve variance bound 2 * max(1, sum(expected_counts)) * (max_runoff + 1)**2 "
+                    "* (var + mean**2)"
+                )
 
     if errs:
         raise ParameterError(*errs)

@@ -688,6 +688,31 @@ def test_huge_finite_severities_simulate_without_warnings(tmp_path):
         assert np.isfinite([stats["mean"], stats["std_dev"], stats["analytic_mean"], stats["analytic_std"]]).all()
 
 
+def test_reserve_std_is_finite_when_the_squared_deviations_overflow(tmp_path):
+    # severity means and variances of 4e150 pass every rule, and give reserve
+    # deviations near 1e153, whose squares overflow a float
+    out = tmp_path / "huge"
+    cfg = severity_config(tmp_path, 4e150, 4e150, cells=...)
+    r = run_cli("simulate", "--config", str(cfg), "--replicates", "200", "--out", str(out))
+    assert r.returncode == 0 and r.stderr == ""
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+    for stats in summary["statistics"].values():
+        assert 0.0 < stats["std_dev"] < float("inf")
+
+
+@pytest.mark.parametrize("severity", [1e151, 1.3e154])
+def test_severities_that_overflow_the_reserve_variance_are_rejected(tmp_path, capsys, severity):
+    # var + mean**2 is finite in every cell, but not the default portfolio's
+    # bound on the reserve variance
+    out = tmp_path / "never"
+    args = ["simulate", "--config", str(severity_config(tmp_path, severity, severity, cells=...)), "--replicates", "3"]
+    assert main([*args, "--out", str(out)]) == 1
+    header, line = capsys.readouterr().err.strip().splitlines()
+    assert header == "error: invalid configuration:"
+    assert line.startswith("  - model.severity_mean")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["file", "--seed"])
 def test_master_seed_past_64_bits_is_named(tmp_path, capsys, source):
     cfg = str(small_config(tmp_path, seed=2**64 if source == "file" else 5))
@@ -812,6 +837,19 @@ def test_edge_world_runs_repeat_byte_for_byte_and_quietly(tmp_path, capsys, worl
         simulated = run("simulate", "w1", "--replicates", "30", "--workers", "1")
         assert simulated == run("simulate", "w4", "--replicates", "30", "--workers", "4")
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("world", ["default", "tiny_shape", "sparse", "closing"])
+def test_json_outputs_hold_no_nan_or_infinity(tmp_path, world):
+    cfg = tmp_path / f"{world}.json"
+    write_config(default_config() if world == "default" else edge_world(world), cfg)
+    for command, *extra in (("simulate", "--replicates", "30"), ("calibrate",)):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+        written = sorted(out.glob("*.json"))
+        assert written
+        for path in written:
+            json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"{path.name} holds {name}"))
 
 
 def io_failure_case(tmp_path, case):

@@ -118,6 +118,17 @@ def test_single_sample_std_is_zero_with_warning():
     assert stats.std_dev == 0.0
 
 
+def test_summary_std_is_numpys_and_finite_where_the_squares_overflow():
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1.0, 1e6, 1e150):
+        d = dist(scale * rng.gamma(0.5, 2.0, size=300))
+        assert build_risk_report(d, ()).std_dev == float(d.samples.std(ddof=1))
+    # deviations near 1e153: their squares overflow, and numpy's std is inf
+    d = dist(1e153 * rng.gamma(0.5, 2.0, size=300))
+    expected = 1e153 * float((d.samples / 1e153).std(ddof=1))
+    assert build_risk_report(d, ()).std_dev == pytest.approx(expected, rel=1e-12)
+
+
 def test_a_risk_report_checks_its_levels_once(monkeypatch):
     calls = []
     run_errors = claimcube.engine.run_errors

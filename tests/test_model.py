@@ -263,6 +263,30 @@ def test_severity_cells_that_overflow_are_named_built_in_code():
     assert names == ["severity_mean[0,0]", "severity_mean[0,1]", "severity_mean[1,0]"]
 
 
+def test_severities_that_overflow_the_reserve_variance_are_named_built_in_code():
+    # 15 expected claims and K + 1 = 2: the bound is 2 * 15 * 2**2 * (var + mean**2)
+    def params(mean):
+        means = np.ones((2, 2))
+        means[1, 0] = mean
+        return ModelParams(
+            occurrence_years=3,
+            max_lag=2,
+            max_runoff=1,
+            expected_counts=5.0,
+            lag_probs=[0.5, 0.5],
+            survival=[1.0, 0.5],
+            pay_prob=0.5,
+            severity_mean=means,
+            severity_var=0.0,
+        )
+
+    params(1.2e153)
+    with pytest.raises(ParameterError) as raised:
+        params(1.3e153)
+    assert len(raised.value.args) == 1
+    assert raised.value.args[0].startswith("severity_mean[1,0] = 1.3e+153 with severity_var 0.0 overflows the reserve")
+
+
 def test_survival_plateau_validates_without_warning(make_params):
     # A plateau only means that no claim closes in that year.
     with warnings.catch_warnings():
