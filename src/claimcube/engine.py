@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -252,13 +251,15 @@ def _replicate_loop(
     block whose first replicate is ``first``.  With ``workers > 1`` (and more
     than one CPU) the blocks run on pool threads, at most ``workers``,
     block-count and CPU-count of them, also when the run is a single block;
-    the calling thread only collects.  Validates the settings first.
+    the calling thread only collects.  The CPUs are those the process may run
+    on (its affinity mask where the OS has one), not the machine's.
+    Validates the settings first.
     """
     size = block_replicates(params)
     _require_run(replicates=replicates, master_seed=master_seed)
     _require_integer("workers", workers, 1)
     starts = range(0, replicates, size)
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
     def one(first: int) -> list:
         stream = RandomStream(master_seed, first // size)
@@ -267,6 +268,8 @@ def _replicate_loop(
     if workers == 1 or cpus == 1:
         blocks = [one(first) for first in starts]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
+
         with ThreadPoolExecutor(max_workers=min(workers, len(starts), cpus)) as pool:
             blocks = list(pool.map(one, starts))
     return [result for results in blocks for result in results]

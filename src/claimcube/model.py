@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from functools import cached_property
 from numbers import Real
 from typing import NamedTuple
 
@@ -361,18 +360,18 @@ class SimulationPath:
     """One fully simulated world, or a block of them: parameters, counts and payments.
 
     The tensors of a block carry a leading world axis.  ``severities`` is only
-    present when the path was simulated with ``retain_severities=True``; it
-    maps ``(j, k)`` to the individual payment amounts of that (lag, run-off)
-    cell, pooled over occurrence years in ascending order (of the last world,
-    for a block).  A simulated path's mapping is a read-only
-    :class:`RetainedSeverities`, which replays the amounts on each read; a
-    hand-built path may give any mapping of cells to arrays.
+    present when the path was simulated with ``retain_severities=True``; its
+    ``items()`` yield ``(j, k)`` and the individual payment amounts of that
+    (lag, run-off) cell, pooled over occurrence years in ascending order (of
+    the last world, for a block).  A simulated path's severities are a
+    :class:`RetainedSeverities`, which replays the amounts on each call of
+    ``items()``; a hand-built path may give any mapping of cells to arrays.
     """
 
     params: ModelParams
     claims: ClaimTensor
     payments: PaymentTensor
-    severities: Mapping[tuple[int, int], np.ndarray] | None = None
+    severities: RetainedSeverities | Mapping[tuple[int, int], np.ndarray] | None = None
 
 
 def _is_block(path: SimulationPath) -> bool:
@@ -518,18 +517,18 @@ def _split_totals(state, params, pay_counts, payments):
         runs, first, offset = runs + 1, stop, int(ends[stop - 1])
 
 
-class RetainedSeverities(Mapping):
+class RetainedSeverities:
     """The individual payment amounts of one world, replayed on each read.
 
-    Maps ``(j, k)`` to the amounts of that (lag, run-off) pool, pooled over
-    occurrence years in ascending order, for every pool with a payment.  It
-    holds frozen copies of the world's payment counts and cell totals and
-    ``state``, the world's severity generator state, but no amount: each read
-    replays the split of :func:`_split_totals` from that state, so every read
-    returns the same amounts bit for bit and holds two run buffers rather
-    than the world.  ``items()`` and ``values()`` replay the world once, a
-    lookup up to its pool.  Reads share no mutable state, so several threads
-    may read one mapping at once.
+    It holds frozen copies of the world's payment counts and cell totals and
+    ``state``, the world's severity generator state, but no amount.  Each
+    call of :meth:`items` replays the split of :func:`_split_totals` from
+    that state, yielding ``((j, k), amounts)`` for every pool with a payment,
+    in ascending (j, k) order, the amounts pooled over occurrence years in
+    ascending order: every pass yields the same amounts bit for bit and holds
+    two run buffers rather than the world.  A reader of one pool stops the
+    pass at it.  Passes share no mutable state, so several threads, or
+    interleaved passes, may read one world at once.
     """
 
     def __init__(self, params: ModelParams, pay_counts: np.ndarray, payments: np.ndarray, state: dict):
@@ -537,46 +536,8 @@ class RetainedSeverities(Mapping):
         self._pay_counts = _frozen(np.array(pay_counts, dtype=np.int64))
         self._payments = _frozen(np.array(payments, dtype=float))
 
-    def _replay(self):
-        return _split_totals(self.state, self._params, self._pay_counts, self._payments)
-
-    @cached_property
-    def _keys(self) -> dict:
-        """The pools with a payment, in ascending (j, k) order."""
-        lags, runoffs = np.nonzero(self._pay_counts.sum(axis=0))
-        return dict.fromkeys(zip(lags.tolist(), runoffs.tolist()))
-
-    def __getitem__(self, cell):
-        if cell in self._keys:
-            for key, amounts in self._replay():
-                if key == cell:
-                    return amounts
-        raise KeyError(cell)
-
-    def __contains__(self, cell) -> bool:
-        return cell in self._keys
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
     def items(self):
-        return _ReplayedItems(self)
-
-    def values(self):
-        return _ReplayedValues(self)
-
-
-class _ReplayedItems(ItemsView):
-    def __iter__(self):
-        return self._mapping._replay()
-
-
-class _ReplayedValues(ValuesView):
-    def __iter__(self):
-        return (amounts for _, amounts in self._mapping._replay())
+        return _split_totals(self.state, self._params, self._pay_counts, self._payments)
 
 
 def simulate_path(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 import sys
@@ -188,6 +189,11 @@ def test_bad_block_size_rejected(make_params, size):
         simulate_path(RandomStream(1, 0), make_params(), size=size)
 
 
+def pretend_cpus(monkeypatch, cpus):
+    """Let the engine see ``cpus`` CPUs it may run on, whatever the host has."""
+    monkeypatch.setattr(claimcube.engine.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
     sizes = []
 
@@ -204,22 +210,31 @@ def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(claimcube.engine, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     params = default_params()
     replicates = 2 * block_replicates(params) + 1  # three blocks, the last of one world
-    serial = run_monte_carlo(params, replicates, master_seed=9)
-    for cpus in (8, 2, 1, None):
-        monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda cpus=cpus: cpus)
-        pooled = run_monte_carlo(params, replicates, master_seed=9, workers=10**6)
+
+    def pooled_run(replicates, workers):
+        serial = run_monte_carlo(params, replicates, master_seed=9)
+        pooled = run_monte_carlo(params, replicates, master_seed=9, workers=workers)
         assert all(np.array_equal(serial[n].samples, pooled[n].samples) for n in serial)
-    assert sizes == [3, 2]  # one or an unknown number of CPUs runs serially
+
+    # The CPUs the process may run on cap the pool, not the machine's count.
+    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 64)
+    for cpus in (8, 2, 1):
+        pretend_cpus(monkeypatch, cpus)
+        pooled_run(replicates, 10**6)
+    assert sizes == [3, 2]  # one CPU runs serially
+    # Where the OS keeps no affinity mask, the machine's count caps the pool.
+    monkeypatch.delattr(claimcube.engine.os, "sched_getaffinity", raising=False)
+    for cpus in (2, None):
+        monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda cpus=cpus: cpus)
+        pooled_run(replicates, 10**6)
+    assert sizes == [3, 2, 2]  # an unknown number of CPUs runs serially
     # A single block still leaves the calling thread once workers > 1.
-    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 8)
-    one_block = block_replicates(params)
-    serial = run_monte_carlo(params, one_block, master_seed=9)
-    pooled = run_monte_carlo(params, one_block, master_seed=9, workers=2)
-    assert all(np.array_equal(serial[n].samples, pooled[n].samples) for n in serial)
-    assert sizes == [3, 2, 1]
+    pretend_cpus(monkeypatch, 8)
+    pooled_run(block_replicates(params), 2)
+    assert sizes == [3, 2, 2, 1]
 
 
 def test_unknown_statistic_rejected(make_params):
@@ -406,7 +421,7 @@ def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
         return rows, [distributions[n].samples.tobytes() for n in names], first
 
     serial = run(1)
-    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 8)
+    pretend_cpus(monkeypatch, 8)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -422,7 +437,7 @@ def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_holds_the_world_of_replicate_zero(workers, monkeypatch):
-    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 2)
+    pretend_cpus(monkeypatch, 2)
     params = default_params()
     run = run_monte_carlo(params, 2 * block_replicates(params) + 1, 12, workers=workers)
     for a, b in zip(world_arrays(run.first_world), world_arrays(replicate_path(params, 12, 0))):

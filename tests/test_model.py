@@ -527,9 +527,10 @@ def test_retained_severities_reconcile_with_cell_totals(make_params):
     params = make_params(occurrence_years=4, expected_counts=50.0)
     path = simulate_path(RandomStream(12, 0), params, retain_severities=True)
     n_i, n_j, n_k = params.dims
+    severities = dict(path.severities.items())
     for j in range(n_j):
         for k in range(n_k):
-            amounts = path.severities.get((j, k), np.empty(0))
+            amounts = severities.get((j, k), np.empty(0))
             assert amounts.size == path.claims.pay_counts[:, j, k].sum()
             assert math.fsum(amounts) == pytest.approx(
                 path.payments.payments[:, j, k].sum(), rel=1e-12, abs=1e-12
@@ -557,9 +558,10 @@ def test_default_portfolio_path_invariants():
 
 def test_retained_severities_replay_per_stream(make_params):
     params = make_params(occurrence_years=3, expected_counts=40.0)
-    a = simulate_path(RandomStream(14, 2), params, retain_severities=True).severities
-    b = simulate_path(RandomStream(14, 2), params, retain_severities=True).severities
-    c = simulate_path(RandomStream(14, 3), params, retain_severities=True).severities
+    a, b, c = (
+        dict(simulate_path(RandomStream(14, stream_id), params, retain_severities=True).severities.items())
+        for stream_id in (2, 2, 3)
+    )
     assert a.keys() == b.keys()
     assert all(np.array_equal(a[cell], b[cell]) for cell in a)
     assert any(cell not in c or not np.array_equal(a[cell], c[cell]) for cell in a)
@@ -602,9 +604,7 @@ def test_runs_that_start_and_end_inside_the_pools_reconcile_cell_by_cell(make_pa
     for r in range(20):
         path = simulate_path(RandomStream(17, r), params, retain_severities=True)
         replay = simulate_path(RandomStream(17, r), params, retain_severities=True).severities
-        assert replay.keys() == path.severities.keys() and all(
-            amounts.tobytes() == replay[cell].tobytes() for cell, amounts in path.severities.items()
-        )
+        assert as_bytes(replay.items()) == as_bytes(path.severities.items())
         nu, z = path.claims.pay_counts, path.payments.payments
         # more than two runs of max(largest pool, cells): some run starts and ends mid-sequence
         assert nu.sum() > 2 * max(nu.sum(axis=0).max(), nu.size)
@@ -654,15 +654,25 @@ def as_bytes(pairs):
 
 
 def test_every_read_replays_the_same_read_only_amounts(make_params):
-    severities = multi_run_path(make_params).severities
+    path = multi_run_path(make_params)
+    severities = path.severities
     first = as_bytes(severities.items())
-    assert list(first) == list(severities) and len(first) == len(severities)
+    # every pool with a payment, in ascending (j, k) order
+    assert list(first) == [tuple(cell) for cell in np.argwhere(path.claims.pay_counts.sum(axis=0)).tolist()]
     assert as_bytes(severities.items()) == first
-    assert [amounts.tobytes() for amounts in severities.values()] == list(first.values())
     for cell, amounts in severities.items():
         assert not amounts.flags.writeable
-        assert cell in severities and severities[cell].tobytes() == first[cell]
-    assert (9, 9) not in severities and severities.get((9, 9)) is None
+        assert amounts.tobytes() == first[cell]
+
+
+def test_interleaved_replays_of_one_world_yield_the_same_amounts(make_params):
+    severities = multi_run_path(make_params).severities
+    serial = as_bytes(severities.items())
+    interleaved = [
+        ((a, x.tobytes()), (b, y.tobytes())) for (a, x), (b, y) in zip(severities.items(), severities.items())
+    ]
+    assert [first for first, _ in interleaved] == list(serial.items())
+    assert all(first == second for first, second in interleaved)
 
 
 def test_amounts_kept_from_one_pass_equal_a_fresh_replay(make_params):

@@ -27,3 +27,9 @@ def test_importing_the_package_leaves_the_command_line_unloaded():
     code = "import sys, claimcube; print(sorted(m for m in sys.modules if m.startswith('claimcube')))"
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == repr(sorted(["claimcube", *(module.__name__ for module in LIBRARY)]))
+
+
+def test_importing_the_package_leaves_the_thread_pool_unloaded():
+    code = "import sys, claimcube; print('concurrent.futures' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "False"

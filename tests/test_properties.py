@@ -83,9 +83,10 @@ def test_retained_amounts_split_the_plain_cell_totals(params, seed):
 
     nu, z = retained.claims.pay_counts, retained.payments.payments
     _, n_j, n_k = params.dims
+    severities = dict(retained.severities.items())
     for j in range(n_j):
         for k in range(n_k):
-            amounts = retained.severities.get((j, k), np.empty(0))
+            amounts = severities.get((j, k), np.empty(0))
             assert amounts.size == nu[:, j, k].sum()
             assert np.all(np.isfinite(amounts)) and np.all(amounts >= 0)
             for i, segment in enumerate(np.split(amounts, np.cumsum(nu[:, j, k])[:-1])):
