@@ -12,9 +12,10 @@ Run settings follow :func:`run_errors`, the rules of configuration files.
 
 Every replicate sweep (:func:`run_monte_carlo` and
 :func:`claimcube.chainladder.compare_2d_3d`) runs through one loop,
-:func:`_replicate_loop`: each block is drawn and reduced inside its own
-task, and results are collected in replicate order.  They are therefore
-bit-identical for any worker count and any scheduling order.
+:func:`_replicate_loop`: each block is drawn and reduced by whichever
+drawing thread takes it, and its results are stored under its block index,
+so they are collected in replicate order.  They are therefore bit-identical
+for any worker count and any scheduling order.
 """
 
 from __future__ import annotations
@@ -249,11 +250,14 @@ def _replicate_loop(
 
     ``per_block(first, block_path)`` returns one result per world of the
     block whose first replicate is ``first``.  With ``workers > 1`` (and more
-    than one CPU) the blocks run on pool threads, at most ``workers``,
-    block-count and CPU-count of them, also when the run is a single block;
-    the calling thread only collects.  The CPUs are those the process may run
-    on (its affinity mask where the OS has one), not the machine's.
-    Validates the settings first.
+    than one CPU) the blocks are drawn on ``min(workers, blocks, CPUs)``
+    threads: the calling thread and one pool thread fewer than that.  Each
+    takes the next undrawn block until none is left.  A run of a single
+    block is the exception: it is drawn on one pool thread while the calling
+    thread waits.  The CPUs are those the process may run
+    on (its affinity mask where the OS has one), not the machine's.  The
+    first block that raises stops the run: the other threads finish the
+    block they hold and take no other.  Validates the settings first.
     """
     size = block_replicates(params)
     _require_run(replicates=replicates, master_seed=master_seed)
@@ -270,8 +274,27 @@ def _replicate_loop(
     else:
         from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
 
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts), cpus)) as pool:
-            blocks = list(pool.map(one, starts))
+        blocks = [None] * len(starts)
+        # One shared iterator hands out the blocks; its next() runs in C
+        # under the interpreter lock, so no block is handed out twice.
+        undrawn = iter(enumerate(starts))
+
+        def draw() -> None:
+            try:
+                for b, first in undrawn:
+                    blocks[b] = one(first)
+            except BaseException:  # a failed block, or Ctrl-C on the calling thread
+                for _ in undrawn:  # the other threads stop after the block they hold
+                    pass
+                raise
+
+        helpers = max(1, min(workers, len(starts), cpus) - 1)
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            drawing = [pool.submit(draw) for _ in range(helpers)]
+            if len(starts) > 1:
+                draw()
+            for done in drawing:
+                done.result()
     return [result for results in blocks for result in results]
 
 

@@ -1,8 +1,8 @@
-import concurrent.futures
 import math
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -194,47 +194,87 @@ def pretend_cpus(monkeypatch, cpus):
     monkeypatch.setattr(claimcube.engine.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-def test_thread_pool_is_bounded_by_blocks_and_cpus(monkeypatch):
-    sizes = []
+def drawing_threads(params, replicates, workers):
+    """The threads that drew the blocks of a run, and the most threads alive while it drew.
 
-    class RecordingPool:  # runs the blocks in this thread; starts none
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    A block drawn off the calling thread is held 20 ms, so the calling
+    thread takes a block of its own wherever it draws.
+    """
+    caller, drawers, alive = threading.get_ident(), set(), []
 
-        def __enter__(self):
-            return self
+    def per_block(first, block):
+        drawers.add(threading.get_ident())
+        alive.append(threading.active_count())
+        if threading.get_ident() != caller:
+            time.sleep(0.02)
+        return [first] * block.claims.counts.shape[0]
 
-        def __exit__(self, *exc):
-            return False
+    rows = claimcube.engine._replicate_loop(params, replicates, 9, per_block, workers=workers)
+    size = block_replicates(params)
+    assert rows == [r - r % size for r in range(replicates)]
+    return drawers, max(alive)
 
-        def map(self, fn, items):
-            return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+def test_drawing_threads_are_bounded_by_blocks_and_cpus(monkeypatch):
     params = default_params()
-    replicates = 2 * block_replicates(params) + 1  # three blocks, the last of one world
+    caller, before = threading.get_ident(), threading.active_count()
 
-    def pooled_run(replicates, workers):
-        serial = run_monte_carlo(params, replicates, master_seed=9)
-        pooled = run_monte_carlo(params, replicates, master_seed=9, workers=workers)
-        assert all(np.array_equal(serial[n].samples, pooled[n].samples) for n in serial)
+    def check(replicates, workers, threads):
+        # At most `threads` draw, the caller among them, on `threads - 1` pool threads.
+        drawers, alive = drawing_threads(params, replicates, workers)
+        assert caller in drawers and len(drawers) <= threads and alive <= before + threads - 1
 
-    # The CPUs the process may run on cap the pool, not the machine's count.
+    def on_caller_alone(replicates, workers):
+        assert drawing_threads(params, replicates, workers) == ({caller}, before)
+
+    nine_blocks = 8 * block_replicates(params) + 1  # the last block of one world
+    # The CPUs the process may run on cap the threads, not the machine's count.
     monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 64)
-    for cpus in (8, 2, 1):
-        pretend_cpus(monkeypatch, cpus)
-        pooled_run(replicates, 10**6)
-    assert sizes == [3, 2]  # one CPU runs serially
-    # Where the OS keeps no affinity mask, the machine's count caps the pool.
-    monkeypatch.delattr(claimcube.engine.os, "sched_getaffinity", raising=False)
-    for cpus in (2, None):
-        monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda cpus=cpus: cpus)
-        pooled_run(replicates, 10**6)
-    assert sizes == [3, 2, 2]  # an unknown number of CPUs runs serially
-    # A single block still leaves the calling thread once workers > 1.
     pretend_cpus(monkeypatch, 8)
-    pooled_run(block_replicates(params), 2)
-    assert sizes == [3, 2, 2, 1]
+    check(nine_blocks, 10**6, 8)
+    check(nine_blocks, 3, 3)
+    check(2 * block_replicates(params), 10**6, 2)  # two blocks
+    on_caller_alone(nine_blocks, 1)
+    pretend_cpus(monkeypatch, 2)
+    check(nine_blocks, 10**6, 2)
+    pretend_cpus(monkeypatch, 1)
+    on_caller_alone(nine_blocks, 10**6)
+    # Where the OS keeps no affinity mask, the machine's count caps the threads.
+    monkeypatch.delattr(claimcube.engine.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: 2)
+    check(nine_blocks, 10**6, 2)
+    monkeypatch.setattr(claimcube.engine.os, "cpu_count", lambda: None)
+    on_caller_alone(nine_blocks, 10**6)
+    # A single block is drawn on one pool thread while the caller waits.
+    pretend_cpus(monkeypatch, 8)
+    drawers, alive = drawing_threads(params, block_replicates(params), 2)
+    assert len(drawers) == 1 and caller not in drawers and alive == before + 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["calling thread", "pool thread"])
+def test_a_failing_block_stops_the_other_threads(monkeypatch, failing):
+    # The failing thread fails once the other holds a block, and the other
+    # holds that block until the failure: both hold one when it comes.
+    pretend_cpus(monkeypatch, 2)
+    params = default_params()
+    caller, before = threading.get_ident(), threading.active_count()
+    reduced, held, failed = [], threading.Event(), threading.Event()
+
+    def per_block(first, block):
+        reduced.append(first)
+        if (threading.get_ident() == caller) == (failing == "calling thread"):
+            assert held.wait(timeout=60)
+            failed.set()
+            raise RuntimeError(f"block at replicate {first} failed")
+        held.set()
+        assert failed.wait(timeout=60)
+        return [first] * block.claims.counts.shape[0]
+
+    with pytest.raises(RuntimeError, match="failed"):
+        claimcube.engine._replicate_loop(params, 40 * block_replicates(params), 4, per_block, workers=2)
+    assert 2 <= len(reduced) <= 3  # of 40 blocks: the two held, at most one taken before the stop
+    assert threading.active_count() == before
 
 
 def test_unknown_statistic_rejected(make_params):
