@@ -9,12 +9,13 @@ valuation horizon ``I``:
 
 The two 2-D run-off triangles partition exactly the known payments, once by
 (occurrence year, j+k) and once by (reporting year i+j, k); nothing is double
-counted.  Reserves and the known total are exactly rounded sums
-(:func:`math.fsum`), all taken in one place, :func:`_world_statistics`, so
-both projections of the same world report the bit-identical total.  The
-exact sums skip the zero cells, which are +0.0 and cannot change an exactly
-rounded sum; most cells of a world are zero.  Cell values use a fixed
-ascending (i, j, k) accumulation order for reproducibility.
+counted.  Reserves and the known total are exactly rounded sums, equal to
+:func:`math.fsum` of the cells bit for bit, all taken in one place,
+:func:`_world_statistics`, so both projections of the same world report the
+bit-identical total.  They split the cells exactly into a few levels with
+whole-array numpy operations (:func:`_exact_row_sums`), so no cell becomes
+a Python float.  Cell values use a fixed ascending (i, j, k) accumulation
+order for reproducibility.
 
 The triangles and :func:`reserve_breakdown` also take a block path, whose
 tensors carry a leading world axis ``(W, I, J, K+1)``.  They then return one
@@ -163,22 +164,60 @@ def triangle_reporting(path: SimulationPath) -> Triangle:
     return _project(path, "reporting")
 
 
+def _exact_row_sums(rows: np.ndarray) -> list[float]:
+    """The exactly rounded sum of each row of a 2-D float array, equal to
+    ``math.fsum(row)`` bit for bit (for rows of finite values whose largest
+    magnitude is below ``2**(1023 - M)``, with ``M`` as below).
+
+    Error-free vector extraction (Rump, Ogita and Oishi 2008, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1),
+    ExtractVector).  Per row, sigma = 2**(e + M), where ``e`` is the
+    :func:`numpy.frexp` exponent of the row's largest magnitude and
+    2**M >= width + 2.  Then ``q = (sigma + x) - sigma`` splits each cell
+    exactly into a multiple ``q`` of sigma * 2**-53, of magnitude at most
+    sigma * 2**-M, and a remainder ``x - q`` of at most sigma * 2**-53, and
+    the row's ``q`` sum exactly in any order.  The step repeats on the
+    remainders, which change sign, until all are 0; each level cuts the
+    largest magnitude by at least 2**(52 - M).  Each row's few exact level
+    sums then go to one :func:`math.fsum`, so no cell becomes a Python float
+    and the numpy calls run without the interpreter lock.  ``rows`` is
+    overwritten: it ends holding the last remainders, all 0.
+    """
+    spread = (rows.shape[1] + 1).bit_length()  # M
+    x, q = rows, np.empty_like(rows)
+    levels = [np.zeros(len(x))]  # an all-zero row sums to +0.0
+    while True:
+        largest = np.abs(x, out=q).max(axis=1, initial=0.0)
+        if not (largest > 0).any():
+            return [math.fsum(level_sums) for level_sums in np.transpose(levels).tolist()]
+        # sigma stays finite: validate_params rejects a severity set that
+        # overflows the reserve variance bound 2 * max(1, sum(expected_counts))
+        # * (max_runoff + 1)**2 * (var + mean**2).  So a severity mean is below
+        # 1.4e154 and a cell, a Gamma total of at most 2**62 of them, lies far
+        # below 2**(1023 - M) = 2**997 (M <= 26 in MAX_WORLD_CELLS cells).
+        sigma = np.ldexp(1.0, np.frexp(largest)[1] + spread)[:, None]
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        levels.append(np.add.reduce(q, axis=1))
+
+
 def _world_statistics(path: SimulationPath, names) -> dict[str, list]:
     """Per world of ``path`` (one world, or a block with a leading world axis),
     the statistics ``names``, one list entry per world.
 
     ``ibnr_count`` counts the claims of the IBNR columns at k = 0; the
     reserves and ``known_payments`` are exactly rounded sums over each world's
-    cells of the class, gathered for all worlds at once, and ``total_reserve``
-    is ``ibnr_reserve + reported_reserve`` (one addition).  This is the one
-    place in the package where exact sums are taken.
+    cells of the class, gathered for all worlds at once and summed by
+    :func:`_exact_row_sums`, and ``total_reserve`` is ``ibnr_reserve +
+    reported_reserve`` (one addition).  This is the one place in the package
+    where exact sums are taken.
     """
     cells = _classification(*path.params.dims)
     z = path.payments.payments.reshape(-1, math.prod(path.params.dims))
 
     def sums(index: np.ndarray) -> list[float]:
-        # The +0.0 cells are skipped, as they cannot change an exactly rounded sum.
-        return [math.fsum(row[row != 0].tolist()) for row in z.take(index, axis=1)]
+        return _exact_row_sums(z.take(index, axis=1))  # sums the gathered copy in place
 
     stats = {}
     if "ibnr_count" in names:

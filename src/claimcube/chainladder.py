@@ -201,17 +201,18 @@ def _score_block(_, block) -> list[tuple[dict, dict]]:
     ]
 
 
-def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int) -> Comparison:
+def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int, *, workers: int = 1) -> Comparison:
     """Score the 2D Chain-Ladder estimators and the analytic 3D mean
     against the simulated truth of every replicate.
 
     Each block of replicates is scored at once: one reserve breakdown, and
-    per orientation one triangle stack and one Chain-Ladder fit.
-    Chain-Ladder failures (e.g. zero-volume columns) are recorded on the
-    affected replicate and excluded from bias/RMSE; they never abort the
-    sweep.
+    per orientation one triangle stack and one Chain-Ladder fit.  The blocks
+    are drawn and scored on up to ``workers`` threads, with the same result
+    at any worker count.  Chain-Ladder failures (e.g. zero-volume columns)
+    are recorded on the affected replicate and excluded from bias/RMSE; they
+    never abort the sweep.
     """
-    scored = _replicate_loop(params, replicates, master_seed, _score_block)
+    scored = _replicate_loop(params, replicates, master_seed, _score_block, workers=workers)
     analytic = (analytic_reserve_moments(params)["total_reserve"].mean, "")
     records = []
     for r, (truths, estimates) in enumerate(scored):

@@ -136,7 +136,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _run_config(args)
-    comparison = compare_2d_3d(cfg.params, cfg.replicates, cfg.master_seed)
+    comparison = compare_2d_3d(cfg.params, cfg.replicates, cfg.master_seed, workers=args.workers)
     out = _output_dir(cfg)
     _write_csv(
         out / "comparison.csv",
@@ -220,12 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="configuration file, or 'default'")
         p.add_argument("--seed", type=int, default=None, help="override run.master_seed")
         p.add_argument("--out", default=None, help="override run.output_dir")
-        if replicates:
+        if replicates:  # a replicate sweep, drawn on up to --workers threads
             p.add_argument("--replicates", type=int, default=None, help="override run.replicates")
+            p.add_argument("--workers", type=int, default=1, help="worker threads (results identical)")
 
     p_sim = sub.add_parser("simulate", help="run the MC engine; write distributions and risk report")
     add_common(p_sim)
-    p_sim.add_argument("--workers", type=int, default=1, help="worker threads (results identical)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", help="re-simulate one world and export estimated parameters")

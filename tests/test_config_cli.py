@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -423,6 +424,22 @@ def test_simulate_identical_across_worker_counts(tmp_path):
     assert summary["replicates"] > 4 * summary["block_replicates"]
 
 
+def test_compare_identical_across_worker_counts(tmp_path):
+    # 4 * B + 1 replicates: five blocks, the last one short, so --workers 2 and
+    # 4 score several blocks at once and finish them out of order
+    size = block_replicates(load_config(small_config(tmp_path)).params)
+    cfg = small_config(tmp_path, replicates=4 * size + 1)
+    outputs = []
+    for workers in (1, 2, 4):
+        out = tmp_path / f"w{workers}"
+        assert main(["compare", "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == 0
+        outputs.append(read_all_outputs(out))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert sorted(outputs[0]) == ["comparison.csv", "comparison_summary.csv"]
+    rows = list(csv.DictReader(io.StringIO(outputs[0]["comparison.csv"].decode())))
+    assert len(rows) == 3 * (4 * size + 1)
+
+
 def test_simulate_records_the_block_size_and_is_identical_across_workers(tmp_path, capsys):
     outputs = []
     for workers in (1, 2, 4):
@@ -600,6 +617,7 @@ def zero_claims_config(tmp_path):
         ("simulate", ["--workers", "0"], small_config),
         ("compare", ["--replicates", "0"], small_config),
         ("calibrate", [], zero_claims_config),
+        ("compare", ["--workers", "0"], small_config),
     ],
 )
 def test_rejected_run_leaves_no_output_directory(tmp_path, command, extra, make_config):
@@ -679,13 +697,33 @@ def test_severity_cells_that_overflow_are_rejected(tmp_path, capsys, mean, var):
 
 
 def test_huge_finite_severities_simulate_without_warnings(tmp_path):
-    out = tmp_path / "huge"
-    cfg = severity_config(tmp_path, 1e150, 1e150, cells=...)
-    r = run_cli("simulate", "--config", str(cfg), "--replicates", "3", "--out", str(out))
-    assert r.returncode == 0 and r.stderr == ""
-    summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
-    for stats in summary["statistics"].values():
-        assert np.isfinite([stats["mean"], stats["std_dev"], stats["analytic_mean"], stats["analytic_std"]]).all()
+    # 4e150 is about the largest severity the default portfolio accepts
+    for severity in (1e150, 4e150):
+        out = tmp_path / f"huge_{severity}"
+        cfg = severity_config(tmp_path, severity, severity, cells=...)
+        r = run_cli("simulate", "--config", str(cfg), "--replicates", "3", "--out", str(out))
+        assert r.returncode == 0 and r.stderr == ""
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+        for stats in summary["statistics"].values():
+            assert np.isfinite([stats["mean"], stats["std_dev"], stats["analytic_mean"], stats["analytic_std"]]).all()
+        assert_reserves_are_fsums_of_cells(load_config(cfg), 3, out)
+
+
+def assert_reserves_are_fsums_of_cells(run, replicates, out):
+    """The reserve distributions in ``out`` hold, per replicate world, math.fsum of its cells of the class."""
+    n_i = run.params.occurrence_years
+    i, j, k = np.indices(run.params.dims)
+    ibnr, reported = i + 1 + j > n_i, (i + 1 + j <= n_i) & (i + 1 + j + k > n_i)
+    expected = {"ibnr_reserve": [], "reported_reserve": [], "total_reserve": []}
+    for replicate in range(replicates):
+        z = replicate_path(run.params, run.master_seed, replicate).payments.payments
+        ibnr_sum, reported_sum = math.fsum(z[ibnr].tolist()), math.fsum(z[reported].tolist())
+        expected["ibnr_reserve"].append(ibnr_sum)
+        expected["reported_reserve"].append(reported_sum)
+        expected["total_reserve"].append(ibnr_sum + reported_sum)
+    for name, sums in expected.items():
+        with (out / f"{name}_distribution.csv").open(newline="") as fh:
+            assert [float(row["value"]) for row in csv.DictReader(fh)] == sorted(sums), name
 
 
 def test_reserve_std_is_finite_when_the_squared_deviations_overflow(tmp_path):

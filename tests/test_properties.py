@@ -36,7 +36,7 @@ from claimcube import (
     triangle_reporting,
     validate_params,
 )
-from claimcube.aggregate import _per_claim_tail_moments
+from claimcube.aggregate import _exact_row_sums, _per_claim_tail_moments
 
 unit = st.floats(0.0, 1.0)
 
@@ -372,6 +372,62 @@ def test_block_projections_equal_each_world_bit_for_bit(block):
         for stack, single in zip(stacks, singles):
             assert stack.values[w].tobytes() == single.values.tobytes()
             assert stack.known_total is None
+
+
+# --- exact row sums against math.fsum ----------------------------------------------
+
+#: Finite doubles from the subnormals (2**-1074) to about 2**903, with
+#: mantissas of one bit, all 53 bits and anything between.
+wide_float = st.builds(
+    math.ldexp,
+    st.sampled_from([1, 3, 2**52, 2**53 - 1]) | st.integers(1, 2**53 - 1),
+    st.integers(-1074 - 52, 850),
+)
+
+
+@st.composite
+def hard_rows(draw):
+    """1 to 4 rows of mostly +0.0 cells, each row holding a few wide-range
+    values of either sign, some with a half-ulp tie or a tie breaker, and
+    perhaps a run of one value; widths include 2**M - 2 and 2**M - 1, where
+    the exact sum's bound on the row width changes."""
+    boundary = [2**m - 2 for m in (2, 3, 4, 13)] + [2**m - 1 for m in (2, 13)]
+    width = draw(st.sampled_from(boundary) | st.integers(1, 40))
+    rows = np.zeros((draw(st.integers(1, 4)), width))
+    position = st.integers(0, width - 1)
+    sign = st.sampled_from([1.0, -1.0])
+    for row in rows:
+        fill = draw(st.sampled_from(["sparse", "run", "dense"]))
+        if fill == "run":  # one value to the end of the row
+            row[draw(position) :] = draw(sign) * draw(wide_float)
+        elif fill == "dense":  # random 53-bit mantissas of one binary exponent to the end of the row
+            tail = row[draw(position) :]
+            mantissas = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(2**52, 2**53, tail.size)
+            tail[:] = draw(sign) * np.ldexp(mantissas.astype(float), draw(st.integers(-1074 - 52, 797)))
+        for _ in range(draw(st.integers(0, 8))):
+            x = draw(sign) * draw(wide_float)
+            row[draw(position)] = x
+            if draw(st.booleans()):  # rounds to even when nothing else is near it
+                row[draw(position)] = draw(sign) * math.ulp(x) / 2
+            if draw(st.booleans()):  # breaks or shifts a tie
+                row[draw(position)] = draw(sign) * math.ulp(x) * 2.0 ** -draw(st.integers(1, 80))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=hard_rows())
+@example(rows=np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]))
+@example(rows=np.array([[0.0, 0.0, 5e-324], [0.0, 2.0**900, 0.0]]))
+@example(rows=np.full((1, 8190), math.ldexp(2**53 - 1, 797)))  # the largest level sum
+# Full rows of 53-bit mantissas of one sign: the first level keeps the top 40
+# (width 8190) or 39 (width 8191) bits of a negative cell, one fewer of a
+# positive one, so the level sum of a negative row needs all 53 bits.
+@example(rows=np.ldexp(np.random.default_rng(0).integers(2**52, 2**53, (4, 8190)), 797) * [[1], [-1], [-1], [-1]])
+@example(rows=np.ldexp(np.random.default_rng(1).integers(2**52, 2**53, (4, 8191)), 797) * [[1], [-1], [-1], [-1]])
+@example(rows=np.array([[1.0, 2.0**-53, 0.0], [1.0 + 2.0**-52, 2.0**-53, 0.0], [1.0, 2.0**-53, 2.0**-150]]))
+def test_exact_row_sums_equal_fsum_bit_for_bit(rows):
+    expected = [math.fsum(row).hex() for row in rows.tolist()]
+    assert [total.hex() for total in _exact_row_sums(rows.copy())] == expected
 
 
 # --- Chain-Ladder against the row-by-row algorithm --------------------------------
