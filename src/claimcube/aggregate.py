@@ -164,7 +164,7 @@ def triangle_reporting(path: SimulationPath) -> Triangle:
     return _project(path, "reporting")
 
 
-def _exact_row_sums(rows: np.ndarray) -> list[float]:
+def _exact_row_sums(rows: np.ndarray) -> np.ndarray:
     """The exactly rounded sum of each row of a 2-D float array, equal to
     ``math.fsum(row)`` bit for bit (for rows of finite values whose largest
     magnitude is below ``2**(1023 - M)``, with ``M`` as below).
@@ -189,7 +189,7 @@ def _exact_row_sums(rows: np.ndarray) -> list[float]:
     while True:
         largest = np.abs(x, out=q).max(axis=1, initial=0.0)
         if not (largest > 0).any():
-            return [math.fsum(level_sums) for level_sums in np.transpose(levels).tolist()]
+            return np.array([math.fsum(level_sums) for level_sums in np.transpose(levels).tolist()])
         # sigma stays finite: validate_params rejects a severity set that
         # overflows the reserve variance bound 2 * max(1, sum(expected_counts))
         # * (max_runoff + 1)**2 * (var + mean**2).  So a severity mean is below
@@ -202,9 +202,9 @@ def _exact_row_sums(rows: np.ndarray) -> list[float]:
         levels.append(np.add.reduce(q, axis=1))
 
 
-def _world_statistics(path: SimulationPath, names) -> dict[str, list]:
+def _world_statistics(path: SimulationPath, names) -> dict[str, np.ndarray]:
     """Per world of ``path`` (one world, or a block with a leading world axis),
-    the statistics ``names``, one list entry per world.
+    the statistics ``names``, each a 1-D array with one entry per world.
 
     ``ibnr_count`` counts the claims of the IBNR columns at k = 0; the
     reserves and ``known_payments`` are exactly rounded sums over each world's
@@ -216,26 +216,26 @@ def _world_statistics(path: SimulationPath, names) -> dict[str, list]:
     cells = _classification(*path.params.dims)
     z = path.payments.payments.reshape(-1, math.prod(path.params.dims))
 
-    def sums(index: np.ndarray) -> list[float]:
+    def sums(index: np.ndarray) -> np.ndarray:
         return _exact_row_sums(z.take(index, axis=1))  # sums the gathered copy in place
 
     stats = {}
     if "ibnr_count" in names:
         counts = path.claims.counts.reshape(len(z), -1)
-        stats["ibnr_count"] = counts.take(cells.ibnr_cols, axis=1).sum(axis=1).tolist()
+        stats["ibnr_count"] = counts.take(cells.ibnr_cols, axis=1).sum(axis=1)
     if "known_payments" in names:
         stats["known_payments"] = sums(cells.known)
     if {"ibnr_reserve", "reported_reserve", "total_reserve"} & set(names):
         ibnr, reported = sums(cells.ibnr), sums(cells.reported_future)
         stats["ibnr_reserve"], stats["reported_reserve"] = ibnr, reported
-        stats["total_reserve"] = [a + b for a, b in zip(ibnr, reported)]
+        stats["total_reserve"] = ibnr + reported
     return stats
 
 
 def total_known_payments(path: SimulationPath) -> float:
     """Exactly rounded sum of all payments in the known region of one world."""
     _require_world(path, "total_known_payments")
-    return _world_statistics(path, ("known_payments",))["known_payments"][0]
+    return float(_world_statistics(path, ("known_payments",))["known_payments"][0])
 
 
 def reserve_breakdown(path: SimulationPath) -> ReserveBreakdown:
@@ -245,8 +245,8 @@ def reserve_breakdown(path: SimulationPath) -> ReserveBreakdown:
     """
     stats = _world_statistics(path, ("ibnr_count", "total_reserve"))
     if _is_block(path):
-        return ReserveBreakdown(**{name: tuple(values) for name, values in stats.items()})
-    return ReserveBreakdown(**{name: values[0] for name, values in stats.items()})
+        return ReserveBreakdown(**{name: tuple(values.tolist()) for name, values in stats.items()})
+    return ReserveBreakdown(**{name: values[0].tolist() for name, values in stats.items()})
 
 
 def mean_claim_size(path: SimulationPath) -> np.ndarray:

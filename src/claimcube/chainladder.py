@@ -182,23 +182,18 @@ ESTIMATOR_TARGETS = {
 }
 
 
-def _score_block(_, block) -> list[tuple[dict, dict]]:
-    """Simulated reserves and the Chain-Ladder ``(estimate, note)`` of each world of a block."""
+def _score_block(_, block) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, ...]]]:
+    """Columns of a block's worlds: the truth of each target, the Chain-Ladder estimates and notes."""
     breakdown = reserve_breakdown(block)
-    fits = {
-        name: chain_ladder(cumulate(project(block)))
-        for name, project in (
-            ("chain_ladder_occurrence", triangle_occurrence),
-            ("chain_ladder_reporting", triangle_reporting),
-        )
-    }
-    return [
-        (
-            {"total_reserve": total, "reported_reserve": reported},
-            {name: (float(fit.total_reserve_estimate[w]), fit.failures[w]) for name, fit in fits.items()},
-        )
-        for w, (total, reported) in enumerate(zip(breakdown.total_reserve, breakdown.reported_reserve))
-    ]
+    values = {target: np.array(getattr(breakdown, target)) for target in ("total_reserve", "reported_reserve")}
+    notes = {}
+    for name, project in (
+        ("chain_ladder_occurrence", triangle_occurrence),
+        ("chain_ladder_reporting", triangle_reporting),
+    ):
+        fit = chain_ladder(cumulate(project(block)))
+        values[name], notes[name] = fit.total_reserve_estimate, fit.failures
+    return values, notes
 
 
 def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int, *, workers: int = 1) -> Comparison:
@@ -212,25 +207,29 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int, *, wor
     are recorded on the affected replicate and excluded from bias/RMSE; they
     never abort the sweep.
     """
-    scored = _replicate_loop(params, replicates, master_seed, _score_block, workers=workers)
-    analytic = (analytic_reserve_moments(params)["total_reserve"].mean, "")
-    records = []
-    for r, (truths, estimates) in enumerate(scored):
-        estimates["analytic_3d_mean"] = analytic
-        for name, target in ESTIMATOR_TARGETS.items():
-            estimate, note = estimates[name]
-            records.append(ComparisonRecord(r, name, target, estimate, truths[target], note))
+    blocks = _replicate_loop(params, replicates, master_seed, _score_block, workers=workers)
+    values = {key: np.concatenate([v[key] for v, _ in blocks]) for key in blocks[0][0]}
+    notes = {name: [note for _, n in blocks for note in n[name]] for name in blocks[0][1]}
+    values["analytic_3d_mean"] = np.full(replicates, analytic_reserve_moments(params)["total_reserve"].mean)
+    notes["analytic_3d_mean"] = [""] * replicates
 
     summary: dict[str, EstimatorSummary] = {}
     for name, target in ESTIMATOR_TARGETS.items():
-        own = [rec for rec in records if rec.estimator == name]
-        errors = np.array([rec.error for rec in own if not math.isnan(rec.estimate)])
+        estimates = values[name]
+        errors = (estimates - values[target])[~np.isnan(estimates)]  # a failed fit's estimate is NaN
         summary[name] = EstimatorSummary(
             estimator=name,
             target=target,
             replicates_ok=int(errors.size),
-            replicates_failed=len(own) - int(errors.size),
+            replicates_failed=replicates - int(errors.size),
             bias=float(errors.mean()) if errors.size else math.nan,
             rmse=_root_mean_square(errors) if errors.size else math.nan,
         )
+
+    floats = {key: column.tolist() for key, column in values.items()}
+    records = [
+        ComparisonRecord(r, name, target, floats[name][r], floats[target][r], notes[name][r])
+        for r in range(replicates)
+        for name, target in ESTIMATOR_TARGETS.items()
+    ]
     return Comparison(records=records, summary=summary)

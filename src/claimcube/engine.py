@@ -12,10 +12,10 @@ Run settings follow :func:`run_errors`, the rules of configuration files.
 
 Every replicate sweep (:func:`run_monte_carlo` and
 :func:`claimcube.chainladder.compare_2d_3d`) runs through one loop,
-:func:`_replicate_loop`: each block is drawn and reduced by whichever
-drawing thread takes it, and its results are stored under its block index,
-so they are collected in replicate order.  They are therefore bit-identical
-for any worker count and any scheduling order.
+:func:`_replicate_loop`: each block is drawn and reduced to arrays, one
+entry per world, by whichever drawing thread takes it, and they are stored
+under its block index.  A sweep joins them in replicate order, so its
+results are bit-identical for any worker count and any scheduling order.
 """
 
 from __future__ import annotations
@@ -246,17 +246,17 @@ def replicate_path(
 def _replicate_loop(
     params: ModelParams, replicates: int, master_seed: int, per_block, *, workers: int = 1
 ) -> list:
-    """Per-replicate results of ``per_block`` over all blocks, in replicate order.
+    """The results of ``per_block`` over all blocks, one per block, in block order.
 
-    ``per_block(first, block_path)`` returns one result per world of the
-    block whose first replicate is ``first``.  With ``workers > 1`` (and more
-    than one CPU) the blocks are drawn on ``min(workers, blocks, CPUs)``
-    threads: the calling thread and one pool thread fewer than that.  Each
-    takes the next undrawn block until none is left.  A run of a single
-    block is the exception: it is drawn on one pool thread while the calling
-    thread waits.  The CPUs are those the process may run
-    on (its affinity mask where the OS has one), not the machine's.  The
-    first block that raises stops the run: the other threads finish the
+    ``per_block(first, block_path)`` reduces the block whose first replicate
+    is ``first``, in each sweep to arrays with one entry per world.  With
+    ``workers > 1`` (and more than one CPU) the blocks are drawn on
+    ``min(workers, blocks, CPUs)`` threads: the calling thread and one pool
+    thread fewer than that.  Each takes the next undrawn block until none is
+    left.  A run of a single block is the exception: it is drawn on one pool
+    thread while the calling thread waits.  The CPUs are those the process
+    may run on (its affinity mask where the OS has one), not the machine's.
+    The first block that raises stops the run: the other threads finish the
     block they hold and take no other.  Validates the settings first.
     """
     size = block_replicates(params)
@@ -265,7 +265,7 @@ def _replicate_loop(
     starts = range(0, replicates, size)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-    def one(first: int) -> list:
+    def one(first: int):
         stream = RandomStream(master_seed, first // size)
         return per_block(first, simulate_path(stream, params, size=min(size, replicates - first)))
 
@@ -295,7 +295,7 @@ def _replicate_loop(
                 draw()
             for done in drawing:
                 done.result()
-    return [result for results in blocks for result in results]
+    return blocks
 
 
 class MonteCarloRun(dict):
@@ -324,16 +324,14 @@ def run_monte_carlo(
 
     first_world = []  # filled by the task of block 0 alone
 
-    def rows(first: int, block: SimulationPath) -> list:
+    def columns(first: int, block: SimulationPath) -> np.ndarray:
         if first == 0:
             first_world.append(_world(block, 0))
         stats = _world_statistics(block, names)
-        return list(zip(*(stats[name] for name in names)))
+        return np.array([stats[name] for name in names], dtype=float)  # (statistics, worlds)
 
-    values = np.array(_replicate_loop(params, replicates, master_seed, rows, workers=workers), dtype=float)
-    run = MonteCarloRun(
-        (name, EmpiricalDistribution(values[:, c], statistic_name=name)) for c, name in enumerate(names)
-    )
+    values = np.concatenate(_replicate_loop(params, replicates, master_seed, columns, workers=workers), axis=1)
+    run = MonteCarloRun((name, EmpiricalDistribution(row, statistic_name=name)) for name, row in zip(names, values))
     run.first_world = first_world[0]
     return run
 

@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,9 +210,9 @@ def drawing_threads(params, replicates, workers):
             time.sleep(0.02)
         return [first] * block.claims.counts.shape[0]
 
-    rows = claimcube.engine._replicate_loop(params, replicates, 9, per_block, workers=workers)
+    blocks = claimcube.engine._replicate_loop(params, replicates, 9, per_block, workers=workers)
     size = block_replicates(params)
-    assert rows == [r - r % size for r in range(replicates)]
+    assert [first for block in blocks for first in block] == [r - r % size for r in range(replicates)]
     return drawers, max(alive)
 
 
@@ -334,7 +335,8 @@ def per_replicate(params, replicates, seed, fn):
     def per_block(_, block):
         return [fn(claimcube.engine._world(block, b)) for b in range(len(block.payments.payments))]
 
-    return claimcube.engine._replicate_loop(params, replicates, seed, per_block)
+    blocks = claimcube.engine._replicate_loop(params, replicates, seed, per_block)
+    return [world for block in blocks for world in block]
 
 
 def block_sizes(params):
@@ -385,7 +387,8 @@ def test_block_statistics_equal_the_per_world_projections_bit_for_bit(params, ma
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
-    rows = claimcube.engine._replicate_loop(params, replicates, 17, block_rows)
+    blocks = claimcube.engine._replicate_loop(params, replicates, 17, block_rows)
+    rows = [row for block in blocks for row in block]
     expected = [reference_row(replicate_path(params, 17, r)) for r in range(replicates)]
     assert np.array(rows).tobytes() == np.array(expected).tobytes()
 
@@ -482,3 +485,49 @@ def test_run_holds_the_world_of_replicate_zero(workers, monkeypatch):
     run = run_monte_carlo(params, 2 * block_replicates(params) + 1, 12, workers=workers)
     for a, b in zip(world_arrays(run.first_world), world_arrays(replicate_path(params, 12, 0))):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# --- results by block -------------------------------------------------------------
+
+
+def small_world(make_params):
+    """The 3x2x3 world at 2 expected claims a year: 1820 worlds a block, few cells each."""
+    params = make_params(expected_counts=2.0)
+    assert block_replicates(params) == 1820
+    return params
+
+
+@pytest.mark.parametrize(
+    "sweep, replicates, bound",
+    [(run_monte_carlo, 50_000, 100), (compare_2d_3d, 20_000, 1000)],
+    ids=["run_monte_carlo", "compare_2d_3d"],
+)
+def test_sweep_memory_per_replicate_is_bounded(make_params, sweep, replicates, bound):
+    # Four statistics hold 32 B a replicate in the blocks and 32 B in the
+    # distributions, and compare's three records about 800 B; one Python
+    # object per replicate and statistic on the way would break the bound.
+    params = small_world(make_params)
+    sweep(params, 1, 3)  # fills the per-shape caches
+    tracemalloc.start()
+    try:
+        sweep(params, replicates, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / replicates < bound
+
+
+def test_results_leave_the_arrays_as_python_numbers(make_params):
+    # np.int64 and np.float64 compare equal to int and float, so only the
+    # exact types show a numpy scalar leaking out of the block arrays.
+    params = small_world(make_params)
+    world, block = replicate_path(params, 5, 0), simulate_path(RandomStream(5, 0), params, size=4)
+    one, many = reserve_breakdown(world), reserve_breakdown(block)
+    assert type(one.ibnr_count) is int
+    assert {type(one.ibnr_reserve), type(one.reported_reserve), type(one.total_reserve)} == {float}
+    assert type(many.ibnr_count) is tuple and {type(n) for n in many.ibnr_count} == {int}
+    for values in (many.ibnr_reserve, many.reported_reserve, many.total_reserve):
+        assert type(values) is tuple and len(values) == 4 and {type(x) for x in values} == {float}
+    assert type(total_known_payments(world)) is float
+    records = compare_2d_3d(params, 5, 5).records
+    assert len(records) == 15 and {type(x) for rec in records for x in (rec.estimate, rec.truth)} == {float}
