@@ -28,10 +28,10 @@ for name in sorted(comparison.summary):
         f"{s.replicates_ok:4d} {s.replicates_failed:5d}"
     )
 
-records = [r for r in comparison.records if r.replicate == 0]
 print("\nreplicate 0 in detail:")
-for rec in records:
-    print(f"  {rec.estimator:28s} estimate {rec.estimate:14,.1f}  truth {rec.truth:14,.1f}")
+for name, estimates in comparison.estimates.items():
+    truth = comparison.truths[comparison.summary[name].target][0]
+    print(f"  {name:28s} estimate {estimates[0]:14,.1f}  truth {truth:14,.1f}")
 
 print(
     "\nreading: the reporting-triangle Chain-Ladder addresses only the reserve of"

@@ -20,9 +20,9 @@ order for reproducibility.
 The triangles and :func:`reserve_breakdown` also take a block path, whose
 tensors carry a leading world axis ``(W, I, J, K+1)``.  They then return one
 value per world: a triangle stack of shape ``(W, I, I)`` whose members share
-one known region (and which carries no known total), and per-world tuples
-of reserves.  Each world's values are bit-identical to the ones its own
-single-world path gives.  :func:`total_known_payments` and
+one known region (and which carries no known total), and per-world 1-D
+arrays of reserves.  Each world's values are bit-identical to the ones its
+own single-world path gives.  :func:`total_known_payments` and
 :func:`mean_claim_size` take one world only.
 """
 
@@ -125,13 +125,13 @@ class ReserveBreakdown:
 
     ``total_reserve`` is defined as ``ibnr_reserve + reported_reserve`` (one
     addition), so the decomposition holds exactly.  For a block path every
-    field is a tuple with one value per world, in world order.
+    field is a 1-D array with one value per world, in world order.
     """
 
-    ibnr_count: int | tuple[int, ...]
-    ibnr_reserve: float | tuple[float, ...]
-    reported_reserve: float | tuple[float, ...]
-    total_reserve: float | tuple[float, ...]
+    ibnr_count: int | np.ndarray
+    ibnr_reserve: float | np.ndarray
+    reported_reserve: float | np.ndarray
+    total_reserve: float | np.ndarray
 
 
 def _project(path: SimulationPath, orientation: str) -> Triangle:
@@ -241,11 +241,11 @@ def total_known_payments(path: SimulationPath) -> float:
 def reserve_breakdown(path: SimulationPath) -> ReserveBreakdown:
     """Classify every future payment into the IBNR or reported reserve.
 
-    For a block path, each field holds one value per world.
+    For a block path, each field is a 1-D array with one value per world.
     """
     stats = _world_statistics(path, ("ibnr_count", "total_reserve"))
     if _is_block(path):
-        return ReserveBreakdown(**{name: tuple(values.tolist()) for name, values in stats.items()})
+        return ReserveBreakdown(**stats)
     return ReserveBreakdown(**{name: values[0].tolist() for name, values in stats.items()})
 
 

@@ -29,7 +29,7 @@ cannot be fitted gets a NaN total and, as its note, the error it raises alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .model import ModelParams
 __all__ = [
     "ChainLadderResult",
     "Comparison",
-    "ComparisonRecord",
     "EstimatorSummary",
     "chain_ladder",
     "compare_2d_3d",
@@ -142,20 +141,6 @@ def chain_ladder(tri: Triangle) -> ChainLadderResult:
 
 
 @dataclass(frozen=True)
-class ComparisonRecord:
-    replicate: int
-    estimator: str
-    target: str
-    estimate: float  # NaN when the estimator failed on this replicate
-    truth: float
-    note: str = ""
-
-    @property
-    def error(self) -> float:
-        return self.estimate - self.truth
-
-
-@dataclass(frozen=True)
 class EstimatorSummary:
     estimator: str
     target: str
@@ -167,8 +152,17 @@ class EstimatorSummary:
 
 @dataclass(eq=False)
 class Comparison:
-    records: list[ComparisonRecord] = field(default_factory=list)
-    summary: dict[str, EstimatorSummary] = field(default_factory=dict)
+    """Per-replicate columns of a sweep and a summary per estimator.
+
+    ``truths[target]`` and ``estimates[estimator]`` are read-only float arrays
+    in replicate order; an estimate is NaN where its fit failed, and
+    ``notes[estimator]`` then holds the error it raised ("" elsewhere).
+    """
+
+    truths: dict[str, np.ndarray]
+    estimates: dict[str, np.ndarray]
+    notes: dict[str, tuple[str, ...]]
+    summary: dict[str, EstimatorSummary]
 
 
 #: Which reserve each estimator addresses.  Chain-Ladder on the reporting
@@ -185,7 +179,7 @@ ESTIMATOR_TARGETS = {
 def _score_block(_, block) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, ...]]]:
     """Columns of a block's worlds: the truth of each target, the Chain-Ladder estimates and notes."""
     breakdown = reserve_breakdown(block)
-    values = {target: np.array(getattr(breakdown, target)) for target in ("total_reserve", "reported_reserve")}
+    values = {"total_reserve": breakdown.total_reserve, "reported_reserve": breakdown.reported_reserve}
     notes = {}
     for name, project in (
         ("chain_ladder_occurrence", triangle_occurrence),
@@ -204,14 +198,16 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int, *, wor
     per orientation one triangle stack and one Chain-Ladder fit.  The blocks
     are drawn and scored on up to ``workers`` threads, with the same result
     at any worker count.  Chain-Ladder failures (e.g. zero-volume columns)
-    are recorded on the affected replicate and excluded from bias/RMSE; they
+    are noted on the affected replicate and excluded from bias/RMSE; they
     never abort the sweep.
     """
     blocks = _replicate_loop(params, replicates, master_seed, _score_block, workers=workers)
     values = {key: np.concatenate([v[key] for v, _ in blocks]) for key in blocks[0][0]}
-    notes = {name: [note for _, n in blocks for note in n[name]] for name in blocks[0][1]}
+    notes = {name: tuple(note for _, n in blocks for note in n[name]) for name in blocks[0][1]}
     values["analytic_3d_mean"] = np.full(replicates, analytic_reserve_moments(params)["total_reserve"].mean)
-    notes["analytic_3d_mean"] = [""] * replicates
+    notes["analytic_3d_mean"] = ("",) * replicates
+    for column in values.values():
+        column.flags.writeable = False
 
     summary: dict[str, EstimatorSummary] = {}
     for name, target in ESTIMATOR_TARGETS.items():
@@ -225,11 +221,9 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int, *, wor
             bias=float(errors.mean()) if errors.size else math.nan,
             rmse=_root_mean_square(errors) if errors.size else math.nan,
         )
-
-    floats = {key: column.tolist() for key, column in values.items()}
-    records = [
-        ComparisonRecord(r, name, target, floats[name][r], floats[target][r], notes[name][r])
-        for r in range(replicates)
-        for name, target in ESTIMATOR_TARGETS.items()
-    ]
-    return Comparison(records=records, summary=summary)
+    return Comparison(
+        truths={target: values[target] for target in ("total_reserve", "reported_reserve")},
+        estimates={name: values[name] for name in ESTIMATOR_TARGETS},
+        notes={name: notes[name] for name in ESTIMATOR_TARGETS},
+        summary=summary,
+    )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .aggregate import analytic_reserve_moments, triangle_occurrence, triangle_reporting
 from .calibrate import calibrated_params
-from .chainladder import compare_2d_3d
+from .chainladder import ESTIMATOR_TARGETS, compare_2d_3d
 from .config import config_from_params, load_config, write_config
 from .engine import block_replicates, build_risk_report, replicate_path, run_monte_carlo
 from .errors import EstimationError, ParameterError
@@ -138,13 +138,18 @@ def _cmd_compare(args) -> int:
     cfg = _run_config(args)
     comparison = compare_2d_3d(cfg.params, cfg.replicates, cfg.master_seed, workers=args.workers)
     out = _output_dir(cfg)
+    truth_floats = {target: column.tolist() for target, column in comparison.truths.items()}
+    columns = [
+        (name, target, comparison.estimates[name].tolist(), truth_floats[target], comparison.notes[name])
+        for name, target in ESTIMATOR_TARGETS.items()
+    ]
     _write_csv(
         out / "comparison.csv",
         ["replicate", "estimator", "target", "estimate", "truth", "error", "note"],
         (
-            [rec.replicate, rec.estimator, rec.target, _cell(rec.estimate)]
-            + [_fmt(rec.truth), _cell(rec.error), rec.note]
-            for rec in comparison.records
+            [r, name, target, _cell(estimates[r]), _fmt(truths[r]), _cell(estimates[r] - truths[r]), notes[r]]
+            for r in range(cfg.replicates)
+            for name, target, estimates, truths, notes in columns
         ),
     )
     _write_csv(

@@ -189,10 +189,9 @@ def poisson_only_params():
 def test_degenerate_model_makes_chain_ladder_exact_per_replicate():
     params = poisson_only_params()
     comparison = compare_2d_3d(params, replicates=30, master_seed=41)
-    for rec in comparison.records:
-        if rec.estimator.startswith("chain_ladder"):
-            assert rec.estimate == pytest.approx(rec.truth, rel=1e-9)
     for name in ("chain_ladder_occurrence", "chain_ladder_reporting"):
+        truths = comparison.truths[comparison.summary[name].target]
+        assert comparison.estimates[name].tolist() == pytest.approx(truths.tolist(), rel=1e-9)
         assert comparison.summary[name].replicates_failed == 0
         assert abs(comparison.summary[name].bias) < 1e-6
 
@@ -205,16 +204,17 @@ def test_empty_world_comparison_is_exact(make_params):
     summary = comparison.summary
     assert summary["analytic_3d_mean"].bias == 0.0
     assert summary["chain_ladder_occurrence"].replicates_failed == 5
-    assert all(rec.note for rec in comparison.records if math.isnan(rec.estimate))
+    for name, estimates in comparison.estimates.items():
+        assert all(note for estimate, note in zip(estimates, comparison.notes[name]) if math.isnan(estimate))
 
 
 def test_one_occurrence_year_fails_every_chain_ladder_fit(make_params):
     comparison = compare_2d_3d(make_params(occurrence_years=1), replicates=5, master_seed=45)
     for name in ("chain_ladder_occurrence", "chain_ladder_reporting"):
-        records = [rec for rec in comparison.records if rec.estimator == name]
-        assert len(records) == 5
-        assert all(math.isnan(rec.estimate) for rec in records)
-        assert {rec.note for rec in records} == {"chain ladder needs at least 2 rows, got 1"}
+        estimates, notes = comparison.estimates[name], comparison.notes[name]
+        assert len(estimates) == len(notes) == 5
+        assert np.isnan(estimates).all()
+        assert set(notes) == {"chain ladder needs at least 2 rows, got 1"}
         assert comparison.summary[name].replicates_failed == 5
 
 
@@ -222,7 +222,12 @@ def test_one_row_per_estimator_per_replicate(make_params):
     params = make_params(occurrence_years=4, expected_counts=60.0)
     reps = 8
     comparison = compare_2d_3d(params, replicates=reps, master_seed=43)
-    assert len(comparison.records) == 3 * reps
+    assert set(comparison.estimates) == set(comparison.notes) == set(comparison.summary)
+    assert set(comparison.truths) == {summary.target for summary in comparison.summary.values()}
+    columns = [*comparison.truths.values(), *comparison.estimates.values()]
+    assert all(column.dtype == np.float64 and column.shape == (reps,) for column in columns)
+    assert all(len(notes) == reps for notes in comparison.notes.values())
+    assert not any(column.flags.writeable for column in columns)
     for name, summary in comparison.summary.items():
         assert summary.replicates_ok + summary.replicates_failed == reps
 
@@ -246,12 +251,8 @@ def test_stationary_portfolio_comparison_is_sane():
     )
     reps = 150
     comparison = compare_2d_3d(params, replicates=reps, master_seed=44)
-    truths = np.array(
-        [r.truth for r in comparison.records if r.estimator == "chain_ladder_reporting"]
-    )
-    errors = np.array(
-        [r.error for r in comparison.records if r.estimator == "chain_ladder_reporting"]
-    )
+    truths = comparison.truths["reported_reserve"]
+    errors = comparison.estimates["chain_ladder_reporting"] - truths
     assert comparison.summary["chain_ladder_reporting"].replicates_failed == 0
     for summary in comparison.summary.values():
         assert math.isfinite(summary.bias) and math.isfinite(summary.rmse)
@@ -290,15 +291,16 @@ def test_mixed_failures_in_a_block_match_the_per_world_loop():
     expected = per_world_scores(params, replicates, master_seed=46)
 
     for name in ("chain_ladder_occurrence", "chain_ladder_reporting"):
-        records = [rec for rec in comparison.records if rec.estimator == name]
-        assert [rec.replicate for rec in records] == list(range(replicates))
-        failed = [bool(rec.note) for rec in records]
+        target = comparison.summary[name].target
+        estimates, notes, truths = comparison.estimates[name], comparison.notes[name], comparison.truths[target]
+        assert len(estimates) == len(notes) == len(truths) == replicates
+        failed = [bool(note) for note in notes]
         mixed = [0 < sum(failed[b : b + size]) < len(failed[b : b + size]) for b in range(0, replicates, size)]
         assert any(mixed)
-        for rec, (truths, estimates) in zip(records, expected):
-            estimate, note = estimates[name]
-            assert np.float64(rec.estimate).tobytes() == np.float64(estimate).tobytes()
-            assert rec.note == note
-            assert rec.truth == truths[rec.target]
+        for estimate, note, truth, (expected_truths, expected_estimates) in zip(estimates, notes, truths, expected):
+            expected_estimate, expected_note = expected_estimates[name]
+            assert estimate.tobytes() == np.float64(expected_estimate).tobytes()
+            assert note == expected_note
+            assert truth == expected_truths[target]
         assert comparison.summary[name].replicates_failed == sum(failed)
-        assert sum(failed) == sum(bool(estimates[name][1]) for _, estimates in expected)
+        assert sum(failed) == sum(bool(scores[name][1]) for _, scores in expected)

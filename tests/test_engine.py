@@ -397,12 +397,13 @@ def test_block_statistics_equal_the_per_world_projections_bit_for_bit(params, ma
         assert dists[name].samples.tobytes() == np.sort(np.array(expected)[:, c]).tobytes()
 
     comparison = compare_2d_3d(params, replicates, 17)
-    for rec in comparison.records:
-        world = replicate_path(params, 17, rec.replicate)
-        assert rec.truth == getattr(reserve_breakdown(world), rec.target)
-        if rec.estimator == "chain_ladder_occurrence":
-            fit = chain_ladder(cumulate(triangle_occurrence(world)))
-            assert rec.estimate == fit.total_reserve_estimate
+    for r in range(replicates):
+        world = replicate_path(params, 17, r)
+        breakdown = reserve_breakdown(world)
+        for target, truths in comparison.truths.items():
+            assert truths[r] == getattr(breakdown, target)
+        fit = chain_ladder(cumulate(triangle_occurrence(world)))
+        assert comparison.estimates["chain_ladder_occurrence"][r] == fit.total_reserve_estimate
 
 
 def test_retained_replicate_inside_a_block_splits_its_own_totals():
@@ -499,13 +500,14 @@ def small_world(make_params):
 
 @pytest.mark.parametrize(
     "sweep, replicates, bound",
-    [(run_monte_carlo, 50_000, 100), (compare_2d_3d, 20_000, 1000)],
+    [(run_monte_carlo, 50_000, 100), (compare_2d_3d, 20_000, 400)],
     ids=["run_monte_carlo", "compare_2d_3d"],
 )
 def test_sweep_memory_per_replicate_is_bounded(make_params, sweep, replicates, bound):
     # Four statistics hold 32 B a replicate in the blocks and 32 B in the
-    # distributions, and compare's three records about 800 B; one Python
-    # object per replicate and statistic on the way would break the bound.
+    # distributions.  Compare's five float columns and three note references
+    # hold 64 B a replicate, twice over while the blocks are joined; one
+    # Python object per replicate and column on the way would break the bound.
     params = small_world(make_params)
     sweep(params, 1, 3)  # fills the per-shape caches
     tracemalloc.start()
@@ -519,15 +521,15 @@ def test_sweep_memory_per_replicate_is_bounded(make_params, sweep, replicates, b
 
 def test_results_leave_the_arrays_as_python_numbers(make_params):
     # np.int64 and np.float64 compare equal to int and float, so only the
-    # exact types show a numpy scalar leaking out of the block arrays.
+    # exact types show a numpy scalar leaking out of the block arrays.  A
+    # block's breakdown keeps them: one 1-D array per field.
     params = small_world(make_params)
     world, block = replicate_path(params, 5, 0), simulate_path(RandomStream(5, 0), params, size=4)
     one, many = reserve_breakdown(world), reserve_breakdown(block)
     assert type(one.ibnr_count) is int
     assert {type(one.ibnr_reserve), type(one.reported_reserve), type(one.total_reserve)} == {float}
-    assert type(many.ibnr_count) is tuple and {type(n) for n in many.ibnr_count} == {int}
-    for values in (many.ibnr_reserve, many.reported_reserve, many.total_reserve):
-        assert type(values) is tuple and len(values) == 4 and {type(x) for x in values} == {float}
+    for values in vars(many).values():
+        assert type(values) is np.ndarray and values.shape == (4,)
+    assert many.ibnr_count.dtype == np.int64
+    assert {many.ibnr_reserve.dtype, many.reported_reserve.dtype, many.total_reserve.dtype} == {np.dtype(np.float64)}
     assert type(total_known_payments(world)) is float
-    records = compare_2d_3d(params, 5, 5).records
-    assert len(records) == 15 and {type(x) for rec in records for x in (rec.estimate, rec.truth)} == {float}
