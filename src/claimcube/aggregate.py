@@ -119,13 +119,15 @@ class Triangle:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReserveBreakdown:
     """Reserve split of one simulated world, or of each world of a block.
 
     ``total_reserve`` is defined as ``ibnr_reserve + reported_reserve`` (one
     addition), so the decomposition holds exactly.  For a block path every
-    field is a 1-D array with one value per world, in world order.
+    field is a 1-D array with one value per world, in world order.  Like
+    :class:`Triangle`, a breakdown compares and hashes by identity, which
+    holds for array fields too.
     """
 
     ibnr_count: int | np.ndarray

@@ -23,7 +23,9 @@ the stack at once, on contiguous last-axis rows, in the order a single
 triangle uses, so each member's result is bit-identical to its fit alone; a
 single triangle is the stack of one.  A stack raises for no member: one that
 cannot be fitted gets a NaN total and, as its note, the error it raises alone.
-:func:`compare_2d_3d` scores each block of replicates with one call per stage.
+:func:`compare_2d_3d` projects each block of replicates with one call per
+orientation, and fits a unit of consecutive blocks with one :func:`cumulate`
+and one :func:`chain_ladder` per orientation.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .aggregate import (
     triangle_occurrence,
     triangle_reporting,
 )
-from .engine import _replicate_loop, _root_mean_square
+from .engine import BLOCK_CELLS, _replicate_loop, _root_mean_square, block_replicates
 from .errors import EstimationError, ParameterError
 from .model import ModelParams
 
@@ -176,16 +178,31 @@ ESTIMATOR_TARGETS = {
 }
 
 
-def _score_block(_, block) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, ...]]]:
-    """Columns of a block's worlds: the truth of each target, the Chain-Ladder estimates and notes."""
-    breakdown = reserve_breakdown(block)
-    values = {"total_reserve": breakdown.total_reserve, "reported_reserve": breakdown.reported_reserve}
+#: Triangle cells per orientation that one fit of :func:`compare_2d_3d`
+#: takes at most (a block's, where those are more): a unit's stacks and
+#: their fit's temporaries stay small next to one block's tensors.
+_UNIT_CELLS = BLOCK_CELLS // 4
+
+
+def _score_unit(_, blocks) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, ...]]]:
+    """Columns of a unit's worlds: the truth of each target, the Chain-Ladder estimates and notes.
+
+    Each block gets its reserve breakdown and one triangle stack per
+    orientation; each orientation's stacks of the unit are fitted at once.
+    """
+    breakdowns, stacks = [], {"chain_ladder_occurrence": [], "chain_ladder_reporting": []}
+    for block in blocks:
+        breakdowns.append(reserve_breakdown(block))
+        stacks["chain_ladder_occurrence"].append(triangle_occurrence(block))
+        stacks["chain_ladder_reporting"].append(triangle_reporting(block))
+    values = {
+        target: np.concatenate([getattr(breakdown, target) for breakdown in breakdowns])
+        for target in ("total_reserve", "reported_reserve")
+    }
     notes = {}
-    for name, project in (
-        ("chain_ladder_occurrence", triangle_occurrence),
-        ("chain_ladder_reporting", triangle_reporting),
-    ):
-        fit = chain_ladder(cumulate(project(block)))
+    for name, tris in stacks.items():
+        stack = np.concatenate([tri.values for tri in tris])
+        fit = chain_ladder(cumulate(Triangle(stack, tris[0].orientation, "incremental", tris[0].horizon)))
         values[name], notes[name] = fit.total_reserve_estimate, fit.failures
     return values, notes
 
@@ -194,16 +211,21 @@ def compare_2d_3d(params: ModelParams, replicates: int, master_seed: int, *, wor
     """Score the 2D Chain-Ladder estimators and the analytic 3D mean
     against the simulated truth of every replicate.
 
-    Each block of replicates is scored at once: one reserve breakdown, and
-    per orientation one triangle stack and one Chain-Ladder fit.  The blocks
-    are drawn and scored on up to ``workers`` threads, with the same result
-    at any worker count.  Chain-Ladder failures (e.g. zero-volume columns)
-    are noted on the affected replicate and excluded from bias/RMSE; they
-    never abort the sweep.
+    Each block of replicates is projected at once: one reserve breakdown and
+    one triangle stack per orientation.  A unit of consecutive blocks, as
+    many as keep each orientation's stacks within :data:`_UNIT_CELLS` cells,
+    is fitted at once: per orientation one :func:`cumulate` and one
+    :func:`chain_ladder` of its blocks' stacks.  The units are drawn and
+    scored on up to ``workers`` threads, with the same result at any worker
+    count.  Chain-Ladder failures (e.g. zero-volume columns) are noted on
+    the affected replicate and excluded from bias/RMSE; they never abort the
+    sweep.
     """
-    blocks = _replicate_loop(params, replicates, master_seed, _score_block, workers=workers)
-    values = {key: np.concatenate([v[key] for v, _ in blocks]) for key in blocks[0][0]}
-    notes = {name: tuple(note for _, n in blocks for note in n[name]) for name in blocks[0][1]}
+    n_i = params.occurrence_years
+    unit_blocks = max(1, _UNIT_CELLS // (block_replicates(params) * n_i * n_i))
+    units = _replicate_loop(params, replicates, master_seed, _score_unit, workers=workers, unit_blocks=unit_blocks)
+    values = {key: np.concatenate([v[key] for v, _ in units]) for key in units[0][0]}
+    notes = {name: tuple(note for _, n in units for note in n[name]) for name in units[0][1]}
     values["analytic_3d_mean"] = np.full(replicates, analytic_reserve_moments(params)["total_reserve"].mean)
     notes["analytic_3d_mean"] = ("",) * replicates
     for column in values.values():

@@ -12,10 +12,12 @@ Run settings follow :func:`run_errors`, the rules of configuration files.
 
 Every replicate sweep (:func:`run_monte_carlo` and
 :func:`claimcube.chainladder.compare_2d_3d`) runs through one loop,
-:func:`_replicate_loop`: each block is drawn and reduced to arrays, one
-entry per world, by whichever drawing thread takes it, and they are stored
-under its block index.  A sweep joins them in replicate order, so its
-results are bit-identical for any worker count and any scheduling order.
+:func:`_replicate_loop`, which hands out units, runs of consecutive blocks:
+one block for :func:`run_monte_carlo`, a few for ``compare_2d_3d``.  Each
+unit's blocks are drawn and reduced to arrays, one entry per world, by
+whichever drawing thread takes the unit, and they are stored under its unit
+index.  A sweep joins them in replicate order, so its results are
+bit-identical for any worker count, unit size and scheduling order.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ SUPPORTED_STATISTICS = tuple(sorted(DEFAULT_STATISTICS + ("known_payments",)))
 #: (I*J*(K+1))) worlds, 3 on the default portfolio, and a world above
 #: BLOCK_CELLS cells is a block of its own.  Part of the determinism promise.
 BLOCK_CELLS = 2**15
+
+#: Units of blocks that :func:`_replicate_loop` leaves at least to each of
+#: several drawing threads, so that none waits long on the last ones.
+_UNITS_PER_THREAD = 4
 
 #: Snap tolerance when mapping a level to an order-statistic rank; absorbs
 #: float fuzz in products like (1 - 0.95) * n without moving genuine ranks.
@@ -244,58 +250,70 @@ def replicate_path(
 
 
 def _replicate_loop(
-    params: ModelParams, replicates: int, master_seed: int, per_block, *, workers: int = 1
+    params: ModelParams, replicates: int, master_seed: int, per_unit, *, workers: int = 1, unit_blocks: int = 1
 ) -> list:
-    """The results of ``per_block`` over all blocks, one per block, in block order.
+    """The results of ``per_unit`` over all units, one per unit, in unit order.
 
-    ``per_block(first, block_path)`` reduces the block whose first replicate
-    is ``first``, in each sweep to arrays with one entry per world.  With
-    ``workers > 1`` (and more than one CPU) the blocks are drawn on
-    ``min(workers, blocks, CPUs)`` threads: the calling thread and one pool
-    thread fewer than that.  Each takes the next undrawn block until none is
-    left.  A run of a single block is the exception: it is drawn on one pool
-    thread while the calling thread waits.  The CPUs are those the process
-    may run on (its affinity mask where the OS has one), not the machine's.
-    The first block that raises stops the run: the other threads finish the
-    block they hold and take no other.  Validates the settings first.
+    A unit is a run of ``unit_blocks`` consecutive blocks (the last unit holds
+    the rest), or of fewer where that would leave a drawing thread fewer than
+    :data:`_UNITS_PER_THREAD` units.  ``per_unit(first, blocks)`` reduces the
+    unit whose first replicate is ``first``, in each sweep to arrays with one
+    entry per world; ``blocks`` yields the unit's block paths in order, each
+    drawn when it is asked for.  With ``workers > 1`` (and more than one CPU)
+    the units are drawn on ``min(workers, blocks, CPUs)`` threads: the
+    calling thread and one pool thread fewer than that.  Each takes the next
+    undrawn unit until none is left.  A run of a single unit is the
+    exception: it is drawn on one pool thread while the calling thread waits.
+    The CPUs are those the process may run on (its affinity mask where the
+    OS has one), not the machine's.  The first unit that raises stops the
+    run: the other threads finish the unit they hold and take no other.
+    Validates the settings first.
     """
     size = block_replicates(params)
     _require_run(replicates=replicates, master_seed=master_seed)
     _require_integer("workers", workers, 1)
-    starts = range(0, replicates, size)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blocks = -(-replicates // size)
+    threads = min(workers, blocks, cpus)
+    if threads > 1:
+        unit_blocks = min(unit_blocks, max(1, blocks // (_UNITS_PER_THREAD * threads)))
+    starts = range(0, replicates, unit_blocks * size)
 
-    def one(first: int):
-        stream = RandomStream(master_seed, first // size)
-        return per_block(first, simulate_path(stream, params, size=min(size, replicates - first)))
+    def one(unit_first: int):
+        def unit():
+            for first in range(unit_first, min(unit_first + unit_blocks * size, replicates), size):
+                stream = RandomStream(master_seed, first // size)
+                yield simulate_path(stream, params, size=min(size, replicates - first))
+
+        return per_unit(unit_first, unit())
 
     if workers == 1 or cpus == 1:
-        blocks = [one(first) for first in starts]
+        units = [one(first) for first in starts]
     else:
         from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
 
-        blocks = [None] * len(starts)
-        # One shared iterator hands out the blocks; its next() runs in C
-        # under the interpreter lock, so no block is handed out twice.
+        units = [None] * len(starts)
+        # One shared iterator hands out the units; its next() runs in C
+        # under the interpreter lock, so no unit is handed out twice.
         undrawn = iter(enumerate(starts))
 
         def draw() -> None:
             try:
-                for b, first in undrawn:
-                    blocks[b] = one(first)
-            except BaseException:  # a failed block, or Ctrl-C on the calling thread
-                for _ in undrawn:  # the other threads stop after the block they hold
+                for u, first in undrawn:
+                    units[u] = one(first)
+            except BaseException:  # a failed unit, or Ctrl-C on the calling thread
+                for _ in undrawn:  # the other threads stop after the unit they hold
                     pass
                 raise
 
-        helpers = max(1, min(workers, len(starts), cpus) - 1)
+        helpers = max(1, threads - 1)
         with ThreadPoolExecutor(max_workers=helpers) as pool:
             drawing = [pool.submit(draw) for _ in range(helpers)]
             if len(starts) > 1:
                 draw()
             for done in drawing:
                 done.result()
-    return blocks
+    return units
 
 
 class MonteCarloRun(dict):
@@ -324,7 +342,8 @@ def run_monte_carlo(
 
     first_world = []  # filled by the task of block 0 alone
 
-    def columns(first: int, block: SimulationPath) -> np.ndarray:
+    def columns(first: int, blocks) -> np.ndarray:
+        (block,) = blocks  # units of one block
         if first == 0:
             first_world.append(_world(block, 0))
         stats = _world_statistics(block, names)

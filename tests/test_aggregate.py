@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -139,6 +140,14 @@ def test_breakdown_matches_hand_classification():
     # reported future: i+j<=2 and i+j+k>2 -> (1,1,1) and (2,0,1)
     assert breakdown.reported_reserve == z[0, 1, 1] + z[1, 0, 1]
     assert breakdown.total_reserve == breakdown.ibnr_reserve + breakdown.reported_reserve
+
+
+def test_block_breakdown_compares_and_hashes_by_identity():
+    # Array fields have no truth value, so a field-wise == would raise.
+    breakdown = reserve_breakdown(simulate_path(RandomStream(26, 0), two_year_params(), size=3))
+    assert breakdown.total_reserve.shape == (3,)
+    assert breakdown == breakdown and breakdown != dataclasses.replace(breakdown)
+    assert hash(breakdown) == hash(breakdown)
 
 
 def test_no_lag_means_no_ibnr(make_params):

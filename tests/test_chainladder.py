@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import claimcube.chainladder
+import claimcube.engine
+
 from claimcube import (
     EstimationError,
     ModelParams,
@@ -261,25 +264,27 @@ def test_stationary_portfolio_comparison_is_sane():
     assert abs(bias) < max(0.1 * truths.mean(), 4 * se)
 
 
+def lone_scores(params, master_seed, r):
+    """Replicate ``r``'s world drawn alone and fitted alone, as a
+    ``(truths, estimates)`` pair; an estimate is an ``(estimate, note)`` pair."""
+    path = replicate_path(params, master_seed, r)
+    breakdown = reserve_breakdown(path)
+    truths = {"total_reserve": breakdown.total_reserve, "reported_reserve": breakdown.reported_reserve}
+    estimates = {}
+    for name, project in (
+        ("chain_ladder_occurrence", triangle_occurrence),
+        ("chain_ladder_reporting", triangle_reporting),
+    ):
+        try:
+            estimates[name] = (chain_ladder(cumulate(project(path))).total_reserve_estimate, "")
+        except EstimationError as exc:
+            estimates[name] = (math.nan, str(exc))
+    return truths, estimates
+
+
 def per_world_scores(params, replicates, master_seed):
-    """The per-world scoring loop that block scoring replaced: each replicate's
-    world drawn alone and fitted alone, as ``(truths, estimates)`` pairs."""
-    scores = []
-    for r in range(replicates):
-        path = replicate_path(params, master_seed, r)
-        breakdown = reserve_breakdown(path)
-        truths = {"total_reserve": breakdown.total_reserve, "reported_reserve": breakdown.reported_reserve}
-        estimates = {}
-        for name, project in (
-            ("chain_ladder_occurrence", triangle_occurrence),
-            ("chain_ladder_reporting", triangle_reporting),
-        ):
-            try:
-                estimates[name] = (chain_ladder(cumulate(project(path))).total_reserve_estimate, "")
-            except EstimationError as exc:
-                estimates[name] = (math.nan, str(exc))
-        scores.append((truths, estimates))
-    return scores
+    """The per-world scoring loop that block scoring replaced."""
+    return [lone_scores(params, master_seed, r) for r in range(replicates)]
 
 
 def test_mixed_failures_in_a_block_match_the_per_world_loop():
@@ -304,3 +309,55 @@ def test_mixed_failures_in_a_block_match_the_per_world_loop():
             assert truth == expected_truths[target]
         assert comparison.summary[name].replicates_failed == sum(failed)
         assert sum(failed) == sum(bool(scores[name][1]) for _, scores in expected)
+
+
+def fitted_stack_worlds(monkeypatch):
+    """The worlds of each stack that ``compare_2d_3d`` fits, in call order."""
+    worlds, fit = [], claimcube.chainladder.chain_ladder
+
+    def recording(tri):
+        worlds.append(len(tri.values))
+        return fit(tri)
+
+    monkeypatch.setattr(claimcube.chainladder, "chain_ladder", recording)
+    return worlds
+
+
+@pytest.mark.parametrize("world", ["default", "sparse"])
+def test_replicates_at_unit_boundaries_score_as_their_lone_fits(monkeypatch, world):
+    # "sparse" is the sparse edge world of the CLI tests: Chain-Ladder fails
+    # on many of its worlds, so units mix fitted and failed worlds.
+    params = default_params()
+    if world == "sparse":
+        params = validate_params(dataclasses.replace(params, expected_counts=4.0))
+    size, replicates, seed = block_replicates(params), 113, 47  # the last block holds 2 worlds
+    monkeypatch.setattr(claimcube.engine.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    worlds = fitted_stack_worlds(monkeypatch)
+    comparison = compare_2d_3d(params, replicates, seed)
+
+    # One fit per orientation and unit; a unit is a run of several blocks.
+    units = worlds[::2]
+    assert worlds[1::2] == units and sum(units) == replicates
+    assert len(units) > 2 and units[0] > size
+    ends = np.cumsum(units)
+    sides = sorted({0, replicates - 1, *ends[:-1] - 1, *ends[:-1]})
+    for r in sides:
+        truths, estimates = lone_scores(params, seed, r)
+        for name, (estimate, note) in estimates.items():
+            assert comparison.estimates[name][r].tobytes() == np.float64(estimate).tobytes()
+            assert comparison.notes[name][r] == note
+        for target, truth in truths.items():
+            assert comparison.truths[target][r] == truth
+    if world == "sparse":
+        failed = [bool(note) for note in comparison.notes["chain_ladder_occurrence"]]
+        assert all(0 < sum(failed[a:b]) < b - a for a, b in zip([0, *ends[:-1]], ends))
+
+    # Threads get units of fewer blocks; the columns stay the same.
+    for workers in (2, 4):
+        worlds.clear()
+        threaded = compare_2d_3d(params, replicates, seed, workers=workers)
+        assert len(worlds) > 2 * len(units)
+        for columns in ("truths", "estimates"):
+            for key, column in getattr(comparison, columns).items():
+                assert getattr(threaded, columns)[key].tobytes() == column.tobytes()
+        assert threaded.notes == comparison.notes and threaded.summary == comparison.summary

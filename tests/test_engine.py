@@ -203,14 +203,15 @@ def drawing_threads(params, replicates, workers):
     """
     caller, drawers, alive = threading.get_ident(), set(), []
 
-    def per_block(first, block):
+    def per_unit(first, blocks):
+        (block,) = blocks  # units of one block
         drawers.add(threading.get_ident())
         alive.append(threading.active_count())
         if threading.get_ident() != caller:
             time.sleep(0.02)
         return [first] * block.claims.counts.shape[0]
 
-    blocks = claimcube.engine._replicate_loop(params, replicates, 9, per_block, workers=workers)
+    blocks = claimcube.engine._replicate_loop(params, replicates, 9, per_unit, workers=workers)
     size = block_replicates(params)
     assert [first for block in blocks for first in block] == [r - r % size for r in range(replicates)]
     return drawers, max(alive)
@@ -253,6 +254,29 @@ def test_drawing_threads_are_bounded_by_blocks_and_cpus(monkeypatch):
     assert threading.active_count() == before
 
 
+def units_handed_out(params, replicates, unit_blocks, workers):
+    """Each unit's first replicate and the worlds of each of its blocks."""
+    def per_unit(first, blocks):
+        return first, [len(block.payments.payments) for block in blocks]
+
+    return claimcube.engine._replicate_loop(params, replicates, 3, per_unit, workers=workers, unit_blocks=unit_blocks)
+
+
+def test_units_are_runs_of_consecutive_blocks(monkeypatch):
+    params = default_params()
+    assert block_replicates(params) == 3
+    pretend_cpus(monkeypatch, 2)
+    # One drawing thread: units of unit_blocks blocks, the last holding the
+    # rest, down to the short block of one world.
+    assert units_handed_out(params, 31, 4, 1) == [(0, [3] * 4), (12, [3] * 4), (24, [3, 3, 1])]
+    # Two drawing threads get at least 4 units each: 11 blocks make units of
+    # one block, and 24 blocks units of at most 3.
+    assert claimcube.engine._UNITS_PER_THREAD == 4
+    assert units_handed_out(params, 31, 4, 2) == [(3 * b, [3 if b < 10 else 1]) for b in range(11)]
+    assert units_handed_out(params, 3 * 24, 4, 2) == [(9 * u, [3] * 3) for u in range(8)]
+    assert units_handed_out(params, 3 * 24, 2, 2) == [(6 * u, [3] * 2) for u in range(12)]
+
+
 @pytest.mark.parametrize("failing", ["calling thread", "pool thread"])
 def test_a_failing_block_stops_the_other_threads(monkeypatch, failing):
     # The failing thread fails once the other holds a block, and the other
@@ -262,7 +286,8 @@ def test_a_failing_block_stops_the_other_threads(monkeypatch, failing):
     caller, before = threading.get_ident(), threading.active_count()
     reduced, held, failed = [], threading.Event(), threading.Event()
 
-    def per_block(first, block):
+    def per_unit(first, blocks):
+        (block,) = blocks  # units of one block
         reduced.append(first)
         if (threading.get_ident() == caller) == (failing == "calling thread"):
             assert held.wait(timeout=60)
@@ -273,7 +298,7 @@ def test_a_failing_block_stops_the_other_threads(monkeypatch, failing):
         return [first] * block.claims.counts.shape[0]
 
     with pytest.raises(RuntimeError, match="failed"):
-        claimcube.engine._replicate_loop(params, 40 * block_replicates(params), 4, per_block, workers=2)
+        claimcube.engine._replicate_loop(params, 40 * block_replicates(params), 4, per_unit, workers=2)
     assert 2 <= len(reduced) <= 3  # of 40 blocks: the two held, at most one taken before the stop
     assert threading.active_count() == before
 
@@ -330,13 +355,13 @@ def world_arrays(path):
     return path.claims.counts, path.claims.pay_counts, path.payments.payments
 
 
-def per_replicate(params, replicates, seed, fn):
+def per_replicate(params, replicates, seed, fn, unit_blocks=1):
     """``fn`` of every world the engine draws, in replicate order."""
-    def per_block(_, block):
-        return [fn(claimcube.engine._world(block, b)) for b in range(len(block.payments.payments))]
+    def per_unit(_, blocks):
+        return [fn(claimcube.engine._world(block, b)) for block in blocks for b in range(len(block.payments.payments))]
 
-    blocks = claimcube.engine._replicate_loop(params, replicates, seed, per_block)
-    return [world for block in blocks for world in block]
+    units = claimcube.engine._replicate_loop(params, replicates, seed, per_unit, unit_blocks=unit_blocks)
+    return [world for unit in units for world in unit]
 
 
 def block_sizes(params):
@@ -344,12 +369,13 @@ def block_sizes(params):
     return (1, size - 1, size, size + 1, 3 * size + 1)
 
 
+@pytest.mark.parametrize("unit_blocks", [1, 2])
 @pytest.mark.parametrize("params", ["default", "small"])
-def test_engine_worlds_are_replicate_paths(params, make_params):
+def test_engine_worlds_are_replicate_paths(params, unit_blocks, make_params):
     params = default_params() if params == "default" else make_params(occurrence_years=700)
     assert block_replicates(params) == (3 if params.occurrence_years == 15 else 7)
     for replicates in block_sizes(params):
-        worlds = per_replicate(params, replicates, 31, world_arrays)
+        worlds = per_replicate(params, replicates, 31, world_arrays, unit_blocks)
         assert len(worlds) == replicates
         for r, engine_world in enumerate(worlds):
             for a, b in zip(engine_world, world_arrays(replicate_path(params, 31, r))):
@@ -383,7 +409,8 @@ def test_block_statistics_equal_the_per_world_projections_bit_for_bit(params, ma
     names = SUPPORTED_STATISTICS
     assert names == ("ibnr_count", "ibnr_reserve", "known_payments", "reported_reserve", "total_reserve")
     replicates = 3 * block_replicates(params) + 1 if block_replicates(params) < 10 else 25
-    def block_rows(_, block):
+    def block_rows(_, blocks):
+        (block,) = blocks  # units of one block
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
@@ -454,7 +481,8 @@ def test_threaded_blocks_under_fast_switching_equal_the_serial_run(monkeypatch):
     replicates = 8 * block_replicates(params) + 1  # nine blocks
     names = SUPPORTED_STATISTICS
 
-    def block_rows(_, block):
+    def block_rows(_, blocks):
+        (block,) = blocks  # units of one block
         stats = _world_statistics(block, names)
         return list(zip(*(stats[name] for name in names)))
 
