@@ -63,6 +63,9 @@ SUPPORTED_STATISTICS = tuple(sorted(DEFAULT_STATISTICS + ("known_payments",)))
 #: BLOCK_CELLS cells is a block of its own.  Part of the determinism promise.
 BLOCK_CELLS = 2**15
 
+#: Most replicates of a run: 4.3 GB of ``simulate`` results at 64 bytes per replicate.
+MAX_REPLICATES = 2**26
+
 #: Units of blocks that :func:`_replicate_loop` leaves at least to each of
 #: several drawing threads, so that none waits long on the last ones.
 _UNITS_PER_THREAD = 4
@@ -95,12 +98,12 @@ def run_errors(
 ) -> list[str]:
     """Every broken run-setting rule, each message naming its setting; the defaults are valid.
 
-    ``replicates`` is an integer >= 1, ``master_seed`` one in 0 .. 2**64 - 1, ``statistics``
-    a non-empty list or tuple of distinct :data:`SUPPORTED_STATISTICS` names, ``quantile_levels``
-    a list or tuple of distinct numbers strictly inside (0, 1); a bool is no number.
+    ``replicates`` is an integer in 1 .. :data:`MAX_REPLICATES`, ``master_seed`` one in 0 .. 2**64 - 1,
+    ``statistics`` a non-empty list or tuple of distinct :data:`SUPPORTED_STATISTICS` names,
+    ``quantile_levels`` a list or tuple of distinct numbers strictly inside (0, 1); a bool is no number.
     """
-    integers = (integer_error("replicates", replicates, 1), integer_error("master_seed", master_seed, 0, MAX_SEED))
-    errs = [error for error in integers if error]
+    replicates_error = integer_error("replicates", replicates, 1, MAX_REPLICATES)
+    errs = [error for error in (replicates_error, integer_error("master_seed", master_seed, 0, MAX_SEED)) if error]
     if not isinstance(statistics, (list, tuple)) or not statistics:
         errs.append(f"statistics must be a non-empty list, got {statistics!r}")
     else:

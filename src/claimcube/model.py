@@ -72,7 +72,7 @@ __all__ = [
 
 #: Most cells I * J * (K+1) a configured world may have: its three 8-byte
 #: tensors (counts, payment counts, payments) then take 0.75 GiB, and its
-#: traced draw peaks at 57 bytes per cell when every cell pays, 1.8 GiB.
+#: traced draw peaks at 27 bytes per cell when every cell pays, 0.84 GiB.
 MAX_WORLD_CELLS = 2**25
 
 
@@ -173,8 +173,8 @@ class _Kernel(NamedTuple):
     column_means: np.ndarray  # (I, J): expected_counts[i] * lag_probs[j]
     last_active_probs: np.ndarray  # (K+1,): survival[k] - survival[k+1]
     stochastic: np.ndarray  # (J, K+1): severity variance > 0
-    shape: np.ndarray  # Gamma shape of one severity, flat over (j, k); 1 where not stochastic
-    scale: np.ndarray  # Gamma scale, flat over (j, k); 1 where not stochastic
+    shape: np.ndarray  # (J, K+1): Gamma shape of one severity; 0 where not stochastic, so nothing is drawn
+    scale: np.ndarray  # (J, K+1): Gamma scale; 1 where not stochastic
     fixed_mean: np.ndarray  # (J, K+1): severity mean of a zero-variance cell, else 0
 
 
@@ -228,18 +228,17 @@ class ModelParams:
 
 def _kernel_constants(params: ModelParams) -> _Kernel:
     """The world kernel's constants, which every draw stage and the closed form read."""
-    stochastic = params.severity_var > 0.0
-    shape = np.ones(stochastic.size)
-    scale = np.ones(stochastic.size)
-    flat = stochastic.ravel()
-    shape[flat], scale[flat] = gamma_shape_scale(params.severity_mean.ravel()[flat], params.severity_var.ravel()[flat])
+    mean, var = params.severity_mean, params.severity_var
+    stochastic = var > 0.0
+    shape, scale = np.zeros(stochastic.shape), np.ones(stochastic.shape)
+    shape[stochastic], scale[stochastic] = gamma_shape_scale(mean[stochastic], var[stochastic])
     return _Kernel(
         column_means=_frozen(params.expected_counts[:, None] * params.lag_probs[None, :]),
         last_active_probs=_frozen(-np.diff(params.survival, append=0.0)),
         stochastic=_frozen(stochastic),
         shape=_frozen(shape),
         scale=_frozen(scale),
-        fixed_mean=_frozen(np.where(stochastic, 0.0, params.severity_mean)),
+        fixed_mean=_frozen(np.where(stochastic, 0.0, mean)),
     )
 
 
@@ -408,13 +407,13 @@ def simulate_counts(stream: RandomStream, params: ModelParams, size: int | None 
 def simulate_payments(stream: RandomStream, params: ModelParams, counts: ClaimTensor):
     """Draw payment counts and cell amounts on top of a count tensor (or block).
 
-    Per cell, the payment count ``nu`` is Binomial(active count, pay_prob[k])
-    and the cell amount is the sum of ``nu`` iid Gamma(shape, scale)
-    severities.  That sum is drawn directly as one Gamma(nu * shape, scale)
-    variate, which is exact by Gamma additivity; all cell totals come from a
-    single call with cells ordered ascending (world, i, j, k), so the cost
-    grows with the number of cells, not of payments.  Cells with zero
-    severity variance pay exactly ``nu`` times the mean, without a draw.
+    Per cell, the payment count ``nu`` is Binomial(active count, pay_prob[k]), and the
+    cell amount, the sum of ``nu`` iid Gamma(shape, scale) severities, is ``scale`` times
+    one standard Gamma(nu * shape) variate, exact by Gamma additivity.  One in-place
+    ``standard_gamma`` call draws every cell, so the cost grows with the cells, not the
+    payments.  A cell of zero shape (no payment, or zero severity variance) gets +0.0
+    and advances no generator, so the paying cells draw in ascending (world, i, j, k)
+    order; a zero-variance cell then pays exactly ``nu`` times the mean.
 
     Returns ``(pay_counts, PaymentTensor)``.
     """
@@ -422,13 +421,11 @@ def simulate_payments(stream: RandomStream, params: ModelParams, counts: ClaimTe
     gens = stream.generators
     pay_counts = gens[BINOMIAL].binomial(counts.counts, params.pay_prob)
 
-    payments = pay_counts * kernel.fixed_mean
-    drawn = np.flatnonzero((pay_counts > 0) & kernel.stochastic)
-    jk = drawn % kernel.stochastic.size  # flat (world, i, j, k) index -> (j, k)
-    shape, scale = kernel.shape[jk], kernel.scale[jk]
-    del jk  # freed before the draw: a block's peak memory is set here
-    shape *= pay_counts.reshape(-1)[drawn]
-    payments.reshape(-1)[drawn] = gens[GAMMA].gamma(shape, scale)
+    payments = np.multiply(pay_counts, kernel.shape)
+    gens[GAMMA].standard_gamma(payments, out=payments)
+    payments *= kernel.scale
+    if not kernel.stochastic.all():
+        payments += pay_counts * kernel.fixed_mean
     return _frozen(pay_counts), _shared(PaymentTensor, payments=_frozen(payments))
 
 
@@ -493,7 +490,7 @@ def _split_totals(state, params, pay_counts, payments):
         ]
         for p, span in pools:
             if stochastic[p]:
-                gen.standard_gamma(kernel.shape[p], out=run[span])
+                gen.standard_gamma(kernel.shape.flat[p], out=run[span])
             else:
                 run[span].fill(kernel.fixed_mean.flat[p])
 

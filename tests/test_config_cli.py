@@ -37,7 +37,7 @@ from claimcube import (
 )
 from claimcube.cli import main
 from claimcube.config import DEFAULT_OUTPUT_DIR
-from claimcube.engine import SUPPORTED_STATISTICS, run_errors
+from claimcube.engine import MAX_REPLICATES, SUPPORTED_STATISTICS, run_errors
 from claimcube.model import MAX_WORLD_CELLS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -124,12 +124,13 @@ def test_huge_occurrence_years_named(years):
 
 
 SEED_RANGE = "must be an integer in 0 .. 2**64 - 1"
+REPLICATES_RANGE = f"must be an integer in 1 .. {MAX_REPLICATES}"
 
 #: (setting, bad value, the message configuration files and the Python API give)
 BAD_RUN_SETTINGS = [
-    ("replicates", 0, "replicates must be an integer >= 1, got 0"),
-    ("replicates", 2.5, "replicates must be an integer >= 1, got 2.5"),
-    ("replicates", True, "replicates must be an integer >= 1, got True"),
+    ("replicates", 0, f"replicates {REPLICATES_RANGE}, got 0"),
+    ("replicates", 2.5, f"replicates {REPLICATES_RANGE}, got 2.5"),
+    ("replicates", True, f"replicates {REPLICATES_RANGE}, got True"),
     ("master_seed", 1.7, f"master_seed {SEED_RANGE}, got 1.7"),
     ("master_seed", True, f"master_seed {SEED_RANGE}, got True"),
     ("master_seed", -1, f"master_seed {SEED_RANGE}, got -1"),
@@ -229,7 +230,15 @@ INTEGER_INPUTS = {
     "max_lag": ((1, None), [lambda p, v: dataclasses.replace(p, max_lag=v)]),
     "max_runoff": ((0, None), [lambda p, v: dataclasses.replace(p, max_runoff=v)]),
     "years": ((1, MAX_WORLD_CELLS), [lambda p, v: make_expected_counts(150.0, 0.03, v)]),
-    "replicates": ((1, None), [lambda p, v: run_monte_carlo(p, v, 1), lambda p, v: compare_2d_3d(p, v, 1)]),
+    "replicates": (
+        (1, MAX_REPLICATES),
+        [
+            lambda p, v: run_monte_carlo(p, v, 1),
+            lambda p, v: compare_2d_3d(p, v, 1),
+            lambda p, v: run_monte_carlo(p, v, 1, workers=2),
+            lambda p, v: compare_2d_3d(p, v, 1, workers=2),
+        ],
+    ),
     "master_seed": (
         (0, 2**64 - 1),
         [
@@ -252,6 +261,7 @@ BOUNDS_TEXT = {
     (1, None): ">= 1",
     (0, None): ">= 0",
     (1, MAX_WORLD_CELLS): f"in 1 .. {MAX_WORLD_CELLS}",
+    (1, MAX_REPLICATES): f"in 1 .. {MAX_REPLICATES}",
     (0, 2**64 - 1): "in 0 .. 2**64 - 1",
     (0, 3 * 2**64 - 1): f"in 0 .. {3 * 2**64 - 1}",
 }
@@ -761,6 +771,25 @@ def test_master_seed_past_64_bits_is_named(tmp_path, capsys, source):
         header, line = capsys.readouterr().err.strip().splitlines()
         assert header == "error: invalid configuration:"
         assert line == f"  - run.master_seed {SEED_RANGE}, got {2**64}"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("replicates", [MAX_REPLICATES + 1, 10**20])
+def test_replicates_past_the_bound_are_named_before_any_draw(tmp_path, capsys, monkeypatch, replicates, workers):
+    # 10**20 replicates used to end in an OverflowError traceback at two
+    # workers, and to draw for centuries at one.
+    def draw(*args, **kwargs):
+        raise AssertionError("a world was drawn")
+
+    monkeypatch.setattr("claimcube.engine.simulate_path", draw)
+    cfg = str(small_config(tmp_path))
+    for command in ("simulate", "compare"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--replicates", str(replicates), "--workers", workers]) == 1
+        header, line = capsys.readouterr().err.strip().splitlines()
+        assert header == "error: invalid configuration:"
+        assert line == f"  - run.replicates {REPLICATES_RANGE}, got {replicates}"
         assert not out.exists()
 
 

@@ -11,6 +11,7 @@ import pytest
 import claimcube.engine
 from claimcube import (
     EmpiricalDistribution,
+    ModelParams,
     ParameterError,
     RandomStream,
     analytic_reserve_moments,
@@ -545,6 +546,39 @@ def test_sweep_memory_per_replicate_is_bounded(make_params, sweep, replicates, b
     finally:
         tracemalloc.stop()
     assert peak / replicates < bound
+
+
+@pytest.mark.parametrize(
+    "sweep, bound", [(run_monte_carlo, 68), (compare_2d_3d, 64)], ids=["run_monte_carlo", "compare_2d_3d"]
+)
+def test_sweep_memory_per_cell_is_bounded(sweep, bound):
+    # A world of 2**20 cells in which every cell pays is a block of its own.
+    # The block's three 8-byte tensors, the statistics' temporaries and, in
+    # run_monte_carlo, the copy of replicate 0's world peak at 60 B per cell
+    # (51 in compare_2d_3d).  A per-cell gather of the paying cells' index,
+    # shape and scale in the payment draw would take both to 80.
+    n_k = 2**18
+    params = ModelParams(
+        occurrence_years=2,
+        max_lag=2,
+        max_runoff=n_k - 1,
+        expected_counts=1e5,
+        lag_probs=[0.5, 0.5],
+        survival=np.linspace(1.0, 0.05, n_k),
+        pay_prob=0.5,
+        severity_mean=10.0,
+        severity_var=20.0,
+    )
+    cells = 4 * n_k
+    assert block_replicates(params) == 1 and np.all(replicate_path(params, 3, 0).claims.pay_counts > 0)
+    sweep(params, 1, 3)  # fills the per-shape caches
+    tracemalloc.start()
+    try:
+        sweep(params, 2, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * cells, f"peak {peak / cells:.1f} B per cell"
 
 
 def test_results_leave_the_arrays_as_python_numbers(make_params):

@@ -16,6 +16,7 @@ from claimcube import (
     RandomStream,
     default_params,
     estimate_severity,
+    gamma_shape_scale,
     make_expected_counts,
     simulate_counts,
     simulate_path,
@@ -23,6 +24,7 @@ from claimcube import (
     validate_params,
 )
 from claimcube.model import MAX_WORLD_CELLS
+from claimcube.streams import BINOMIAL, GAMMA
 
 
 # --- expected count curve ---------------------------------------------------
@@ -509,6 +511,54 @@ def test_payment_counts_bounded_and_zero_payment_cells_pay_nothing(make_params):
         assert np.all(path.payments.payments[nu == 0] == 0.0)
 
 
+def gather_scatter_payments(stream, params, counts):
+    """The payment stage as a gather and scatter: one ``gamma(nu * shape, scale)``
+    call over the paying stochastic cells in flat order, and ``nu`` times the
+    mean in the zero-variance cells.  The reference for the in-place draw."""
+    gens = stream.generators
+    pay_counts = gens[BINOMIAL].binomial(counts.counts, params.pay_prob)
+    mean, var = params.severity_mean, params.severity_var
+    stochastic = var > 0.0
+    payments = pay_counts * np.where(stochastic, 0.0, mean)
+    drawn = np.flatnonzero((pay_counts > 0) & stochastic)
+    jk = drawn % stochastic.size  # flat (world, i, j, k) index -> (j, k)
+    shape, scale = gamma_shape_scale(mean.ravel()[jk], var.ravel()[jk])
+    payments.reshape(-1)[drawn] = gens[GAMMA].gamma(shape * pay_counts.reshape(-1)[drawn], scale)
+    return pay_counts, payments
+
+
+def random_edge_params(rng):
+    """A small parameter set with zero-variance cells, Gamma shapes below 1,
+    ``pay_prob`` of 0 or 1 and zero expected counts, each drawn at random."""
+    n_i, n_j, n_k = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    mean = rng.choice([0.01, 1.0, 10.0, 1e4], size=(n_j, n_k))
+    shape = rng.choice([0.0, 1e-6, 0.05, 0.5, 1.0, 3.0, 1e3], size=(n_j, n_k))
+    lags = rng.random(n_j) + 0.1
+    return ModelParams(
+        occurrence_years=n_i,
+        max_lag=n_j,
+        max_runoff=n_k - 1,
+        expected_counts=rng.choice([0.0, 0.5, 5.0, 200.0], size=n_i),
+        lag_probs=lags / lags.sum(),
+        survival=np.concatenate([[1.0], np.sort(rng.random(n_k - 1))[::-1]]),
+        pay_prob=rng.choice([0.0, 0.3, 0.9, 1.0], size=n_k),
+        severity_mean=mean,
+        severity_var=np.where(shape > 0, mean * mean / np.where(shape > 0, shape, 1.0), 0.0),
+    )
+
+
+def test_in_place_draw_equals_the_gather_scatter_draw_bit_for_bit():
+    rng = np.random.default_rng(20261022)
+    for case in range(150):
+        params = random_edge_params(rng)
+        size = [None, 1, 2, 3, 4][case % 5]
+        counts = simulate_counts(RandomStream(case, 0), params, size)
+        pay_counts, payments = simulate_payments(RandomStream(case, 1), params, counts)
+        want_counts, want = gather_scatter_payments(RandomStream(case, 1), params, counts)
+        assert pay_counts.tobytes() == want_counts.tobytes(), case
+        assert payments.payments.dtype == want.dtype and payments.payments.tobytes() == want.tobytes(), case
+
+
 # --- full paths -------------------------------------------------------------
 
 
@@ -725,11 +775,12 @@ def test_retained_worlds_of_one_stream_start_from_distinct_severity_states(make_
 
 
 def test_plain_draw_memory_per_cell_is_bounded():
-    # Every cell pays, so the payment stage draws every cell and its index,
-    # Gamma shape, scale and draw arrays set the peak: 56.4-57.0 B per cell
-    # when the counts came from a Poisson column and a multinomial split.  A
-    # per-cell array of the count draw kept past it, or cached on the
-    # params, would add 8 B per cell to the peak or to what is held after.
+    # Every cell pays, so the payment stage draws every cell.  It draws the
+    # totals in place in the payments array, so the peak is the world's three
+    # 8-byte tensors and little more: 27 B per cell.  A per-cell gather of
+    # the paying cells' index, shape or scale, a per-cell array of the count
+    # draw kept past it, or one cached on the params, would add 8 B per cell
+    # to the peak or to what is held after.
     n = 64
     params = validate_params(
         ModelParams(
@@ -753,7 +804,7 @@ def test_plain_draw_memory_per_cell_is_bounded():
     finally:
         tracemalloc.stop()
     assert np.all(path.claims.pay_counts > 0)
-    assert peak < 58 * cells, f"peak {peak / cells:.1f} B per cell"
+    assert peak < 34 * cells, f"peak {peak / cells:.1f} B per cell"
     # the world's three 8-byte tensors and the params' kernel constants
     assert held < 26 * cells, f"{held / cells:.1f} B per cell held after the draw"
 

@@ -67,3 +67,45 @@ def test_gamma_mean_variance_round_trip(mean, var):
     se_var = var * math.sqrt((2 + 6 / shape) / n)
     assert abs(draws.var(ddof=1) - var) < 4 * se_var
     assert np.all(draws > 0)
+
+
+# --- the numpy facts the payment draw rests on ------------------------------------
+# The kernel draws a block's cell totals as scale * standard_gamma(nu * shape)
+# over every cell, in place, with shape 0 where a cell draws nothing.  Its
+# bytes equal one gamma(nu * shape, scale) call over the drawing cells alone
+# only while these hold; the golden table checks bytes on its own numpy
+# fingerprints only.
+
+SHAPES = [1e-6, 0.5, 1.0, 3.0, 1e3]
+
+
+def twin_generators(seed=20261022):
+    return [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
+
+
+def test_standard_gamma_draws_nothing_for_a_zero_shape():
+    shapes = np.array([0.0, 0.5, 0.0, 0.0, 3.0, 1e-6, 0.0, 1.0, 1e3, 0.0] * 50)
+    with_zeros, alone = twin_generators()
+    drawn = with_zeros.standard_gamma(shapes)
+    expected = alone.standard_gamma(shapes[shapes > 0])
+    zero = shapes == 0
+    assert np.all(drawn[zero] == 0.0) and not np.signbit(drawn[zero]).any()
+    assert drawn[~zero].tobytes() == expected.tobytes()
+    assert with_zeros.bit_generator.state == alone.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_gamma_is_scale_times_standard_gamma(shape):
+    scales = np.geomspace(1e-3, 1e6, 500)
+    scaled, standard = twin_generators()
+    assert scaled.gamma(shape, scales).tobytes() == (scales * standard.standard_gamma(np.full(500, shape))).tobytes()
+    assert scaled.bit_generator.state == standard.bit_generator.state
+
+
+def test_standard_gamma_in_place_equals_out_of_place():
+    shapes = np.repeat(np.array(SHAPES + [0.0]), 100)
+    in_place, out_of_place = twin_generators()
+    drawn = shapes.copy()
+    in_place.standard_gamma(drawn, out=drawn)
+    assert drawn.tobytes() == out_of_place.standard_gamma(shapes).tobytes()
+    assert in_place.bit_generator.state == out_of_place.bit_generator.state
