@@ -1,7 +1,8 @@
 """Command-line entry points: simulate, calibrate, compare, report.
 
-All outputs are deterministic functions of (configuration, seed): floats are
-written at full precision, JSON keys are sorted, and CSV rows follow fixed
+All outputs are deterministic functions of (configuration, seed): the CLI
+hands Python floats to ``csv`` and ``json``, which write each at full
+precision (its ``repr``), JSON keys are sorted, and CSV rows follow fixed
 orders, so identical runs produce byte-identical files regardless of the
 worker count.
 """
@@ -44,13 +45,9 @@ def _output_dir(cfg) -> Path:
     return out
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _cell(value: float) -> str:
-    """A CSV cell: the value at full precision, or empty when it is NaN (unknown)."""
-    return "" if math.isnan(value) else _fmt(value)
+def _cell(value: float) -> float | str:
+    """A CSV cell: the value, or empty when it is NaN (unknown)."""
+    return "" if math.isnan(value) else value
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -62,7 +59,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 def _write_triangle_csv(tri, path: Path) -> None:
     header = ["row"] + [f"dev{n}" for n in range(tri.values.shape[1])]
-    _write_csv(path, header, ([m + 1] + [_cell(v) for v in row] for m, row in enumerate(tri.values)))
+    _write_csv(path, header, ([m + 1] + [_cell(v) for v in row] for m, row in enumerate(tri.values.tolist())))
 
 
 def _report_payload(report) -> dict:
@@ -102,7 +99,7 @@ def _cmd_simulate(args) -> int:
         _write_csv(
             out / f"{name}_distribution.csv",
             ["rank", "value"],
-            ([rank, _fmt(value)] for rank, value in enumerate(dist.samples, start=1)),
+            enumerate(dist.samples.tolist(), start=1),
         )
 
     write_config(summary, out / "summary.json")
@@ -147,7 +144,7 @@ def _cmd_compare(args) -> int:
         out / "comparison.csv",
         ["replicate", "estimator", "target", "estimate", "truth", "error", "note"],
         (
-            [r, name, target, _cell(estimates[r]), _fmt(truths[r]), _cell(estimates[r] - truths[r]), notes[r]]
+            [r, name, target, _cell(estimates[r]), truths[r], _cell(estimates[r] - truths[r]), notes[r]]
             for r in range(cfg.replicates)
             for name, target, estimates, truths, notes in columns
         ),
@@ -156,7 +153,7 @@ def _cmd_compare(args) -> int:
         out / "comparison_summary.csv",
         ["estimator", "target", "replicates_ok", "replicates_failed", "bias", "rmse"],
         (
-            [s.estimator, s.target, s.replicates_ok, s.replicates_failed, _fmt(s.bias), _fmt(s.rmse)]
+            [s.estimator, s.target, s.replicates_ok, s.replicates_failed, s.bias, s.rmse]
             for _, s in sorted(comparison.summary.items())
         ),
     )

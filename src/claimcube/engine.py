@@ -262,15 +262,15 @@ def _replicate_loop(
     :data:`_UNITS_PER_THREAD` units.  ``per_unit(first, blocks)`` reduces the
     unit whose first replicate is ``first``, in each sweep to arrays with one
     entry per world; ``blocks`` yields the unit's block paths in order, each
-    drawn when it is asked for.  With ``workers > 1`` (and more than one CPU)
-    the units are drawn on ``min(workers, blocks, CPUs)`` threads: the
-    calling thread and one pool thread fewer than that.  Each takes the next
-    undrawn unit until none is left.  A run of a single unit is the
-    exception: it is drawn on one pool thread while the calling thread waits.
-    The CPUs are those the process may run on (its affinity mask where the
-    OS has one), not the machine's.  The first unit that raises stops the
-    run: the other threads finish the unit they hold and take no other.
-    Validates the settings first.
+    drawn when it is asked for.  Every drawing thread runs one loop, taking
+    the next undrawn unit until none is left.  The calling thread always
+    draws, alone at one worker or on one CPU; with ``workers > 1`` (and more
+    than one CPU) ``min(workers, blocks, CPUs) - 1`` pool threads join it.
+    A run of a single unit is the exception: it is drawn on one pool thread
+    while the calling thread waits.  The CPUs are those the process may run
+    on (its affinity mask where the OS has one), not the machine's.  The
+    first unit that raises stops the run: the other threads finish the unit
+    they hold and take no other.  Validates the settings first.
     """
     size = block_replicates(params)
     _require_run(replicates=replicates, master_seed=master_seed)
@@ -290,24 +290,24 @@ def _replicate_loop(
 
         return per_unit(unit_first, unit())
 
+    units = [None] * len(starts)
+    # One shared iterator hands out the units; its next() runs in C under
+    # the interpreter lock, so no unit is handed out twice.
+    undrawn = iter(enumerate(starts))
+
+    def draw() -> None:
+        try:
+            for u, first in undrawn:
+                units[u] = one(first)
+        except BaseException:  # a failed unit, or Ctrl-C on the calling thread
+            for _ in undrawn:  # the other threads stop after the unit they hold
+                pass
+            raise
+
     if workers == 1 or cpus == 1:
-        units = [one(first) for first in starts]
+        draw()
     else:
         from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
-
-        units = [None] * len(starts)
-        # One shared iterator hands out the units; its next() runs in C
-        # under the interpreter lock, so no unit is handed out twice.
-        undrawn = iter(enumerate(starts))
-
-        def draw() -> None:
-            try:
-                for u, first in undrawn:
-                    units[u] = one(first)
-            except BaseException:  # a failed unit, or Ctrl-C on the calling thread
-                for _ in undrawn:  # the other threads stop after the unit they hold
-                    pass
-                raise
 
         helpers = max(1, threads - 1)
         with ThreadPoolExecutor(max_workers=helpers) as pool:

@@ -35,6 +35,7 @@ from claimcube import (
     triangle_reporting,
     write_config,
 )
+from claimcube.chainladder import ESTIMATOR_TARGETS
 from claimcube.cli import main
 from claimcube.config import DEFAULT_OUTPUT_DIR
 from claimcube.engine import MAX_REPLICATES, SUPPORTED_STATISTICS, run_errors
@@ -528,6 +529,47 @@ def test_cli_replicate_0_worlds_come_from_the_engine_mapping(tmp_path):
         quantile_levels=cfg.quantile_levels,
     )
     assert json.loads((out / "estimated_config.json").read_text()) == expected
+
+
+def csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_csv_cells_are_the_library_values_at_full_precision(tmp_path):
+    # Whatever numpy draws, each CSV cell is the repr of the float that the
+    # library returns at the same seed, and a NaN (unknown) cell is empty.
+    def cell(value):
+        return "" if math.isnan(value) else repr(value)
+
+    cfg = load_config("default")
+    seed, replicates = cfg.master_seed, 100
+    out = tmp_path / "out"
+    for command in ("simulate", "compare"):
+        assert main([command, "--config", "default", "--replicates", str(replicates), "--out", str(out)]) == 0
+
+    distributions = run_monte_carlo(cfg.params, replicates, seed, cfg.statistics)
+    for name in cfg.statistics:
+        expected = [[str(rank), repr(value)] for rank, value in enumerate(distributions[name].samples.tolist(), 1)]
+        assert csv_rows(out / f"{name}_distribution.csv")[1:] == expected
+
+    world = replicate_path(cfg.params, seed, 0)
+    for name, project in (("triangle_occurrence", triangle_occurrence), ("triangle_reporting", triangle_reporting)):
+        values = project(world).values.tolist()
+        expected = [[str(m + 1)] + [cell(v) for v in row] for m, row in enumerate(values)]
+        assert csv_rows(out / f"{name}.csv")[1:] == expected
+
+    comparison = compare_2d_3d(cfg.params, replicates, seed)
+    rows = csv_rows(out / "comparison.csv")[1:]
+    assert len(rows) == len(ESTIMATOR_TARGETS) * replicates
+    for replicate, name, target, estimate, truth, error, _ in rows:
+        r = int(replicate)
+        assert ESTIMATOR_TARGETS[name] == target
+        estimated, true = float(comparison.estimates[name][r]), float(comparison.truths[target][r])
+        assert (estimate, truth, error) == (cell(estimated), repr(true), cell(estimated - true))
+    summary = {s.estimator: s for s in comparison.summary.values()}
+    for name, _, _, _, bias, rmse in csv_rows(out / "comparison_summary.csv")[1:]:
+        assert (bias, rmse) == (repr(summary[name].bias), repr(summary[name].rmse))
 
 
 def test_compare_writes_one_row_per_estimator_per_replicate(tmp_path):

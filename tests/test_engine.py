@@ -304,6 +304,30 @@ def test_a_failing_block_stops_the_other_threads(monkeypatch, failing):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("workers, cpus", [(1, 8), (4, 1)])
+def test_a_failing_unit_stops_a_one_thread_sweep(monkeypatch, workers, cpus):
+    # One worker, or one CPU, draws on the calling thread alone, through the
+    # same loop as the threads: the unit that raises is the last one reduced.
+    pretend_cpus(monkeypatch, cpus)
+    params = default_params()
+    caller, before = threading.get_ident(), threading.active_count()
+    reduced = []
+
+    def per_unit(first, blocks):
+        (block,) = blocks  # units of one block
+        assert threading.get_ident() == caller and threading.active_count() == before
+        reduced.append(first)
+        if len(reduced) == 4:
+            raise RuntimeError(f"block at replicate {first} failed")
+        return [first] * block.claims.counts.shape[0]
+
+    size = block_replicates(params)
+    with pytest.raises(RuntimeError, match=f"replicate {3 * size} failed"):
+        claimcube.engine._replicate_loop(params, 10 * size, 4, per_unit, workers=workers)
+    assert reduced == [0, size, 2 * size, 3 * size]
+    assert threading.active_count() == before
+
+
 def test_unknown_statistic_rejected(make_params):
     for statistics, message in (
         (("nope",), "statistics: unknown statistic 'nope'"),
